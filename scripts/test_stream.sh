@@ -5,12 +5,14 @@
 #     workload bit-identical to its bulk generator at any chunk size), tee
 #     fan-out, the incremental statistics accumulator, and chunked CSV/JSONL
 #     readers;
-#   * tests/test_streaming_engine.py — the streaming drive loop: a
-#     differential matrix over every registered algorithm x backend x chunk
-#     size asserting streamed replay is bit-identical to materialized
-#     replay, the golden pins under streaming, unknown-length checkpoint
-#     planning, the bounded-memory guarantee, and the runner/spec
-#     integration (traffic.streaming, compare_on_shared_trace fan-out).
+#   * tests/test_streaming_engine.py — the engine's one drive loop
+#     (StreamingSimulation, which materialized replay also runs as a single
+#     segment): a differential matrix over every registered algorithm x
+#     backend x chunk size certifying chunk-boundary invariance (streamed
+#     replay bit-identical to one-segment replay), the golden pins under
+#     streaming, unknown-length checkpoint planning, the bounded-memory
+#     guarantee, and the runner/spec integration (traffic.streaming,
+#     compare_on_shared_trace fan-out).
 # The same tests run in the default suite; this script is the focused
 # entry point for CI and for iterating on stream-layer changes.
 # Extra pytest arguments are passed through.

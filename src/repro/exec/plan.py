@@ -29,6 +29,7 @@ The plan is execution-policy-free: scheduler backends
 from __future__ import annotations
 
 import json
+import logging
 from collections import OrderedDict
 from dataclasses import dataclass, replace
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
@@ -36,6 +37,7 @@ from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 from ..errors import ConfigurationError
 from ..experiments.observers import SimulationObserver
 from ..experiments.specs import ExperimentSpec
+from ..simulation import parallel as parallel_mod
 from ..simulation.results import RunResult
 from ..simulation.runner import AnySpec, _store_eligible, as_experiment_spec
 from ..store.fingerprint import fingerprint_spec
@@ -48,6 +50,8 @@ __all__ = [
     "ExecutionPlan",
     "build_execution_plan",
 ]
+
+logger = logging.getLogger(__name__)
 
 #: Valid ``on_error`` policies: ``"raise"`` propagates the first failure
 #: (legacy behaviour), ``"collect"`` returns a :class:`RunFailure` record in
@@ -194,9 +198,11 @@ def _presolve_task(specs: Sequence[ExperimentSpec]) -> Tuple[Dict[str, Any], ...
 
     Solves each distinct (effective solver backend, topology) demand once at
     the group's ``b_max``; the exported payloads ship to workers and, as a
-    side effect, warm the parent's own solver memo.  Pre-solving is an
-    optimisation: any failure here is swallowed so the real execution path
-    surfaces the error with full spec context.
+    side effect, warm the parent's own solver memo.  The pre-solve trace
+    seeds the per-process trace cache, so serial execution replays it
+    instead of regenerating it.  Pre-solving is an optimisation: a failure
+    here is logged and the real execution path surfaces the error with full
+    spec context.
     """
     from ..experiments.specs import _algorithm_registry
     from ..matching import static_solver
@@ -210,8 +216,8 @@ def _presolve_task(specs: Sequence[ExperimentSpec]) -> Tuple[Dict[str, Any], ...
         try:
             if _algorithm_registry().canonical(spec.algorithm.name) != "so-bma":
                 continue
-        except Exception:
-            continue
+        except ConfigurationError:
+            continue  # unknown algorithm: execution reports it with spec context
         if str(spec.algorithm.params.get("solver", "blossom")).lower() != "blossom":
             continue
         offline.append(spec)
@@ -220,7 +226,7 @@ def _presolve_task(specs: Sequence[ExperimentSpec]) -> Tuple[Dict[str, Any], ...
     payloads: List[Dict[str, Any]] = []
     try:
         trace = offline[0].build_trace()
-        _share_trace(offline[0], trace)
+        parallel_mod._share_trace(offline[0], trace)
         buckets: "OrderedDict[Tuple[str, str], List[ExperimentSpec]]" = OrderedDict()
         for spec in offline:
             effective = static_solver.resolve_solver_backend(
@@ -243,29 +249,13 @@ def _presolve_task(specs: Sequence[ExperimentSpec]) -> Tuple[Dict[str, Any], ...
                     weights, topology.n_racks, b_max, backend=effective
                 )
             )
-    except Exception:
-        return tuple(payloads)
-    return tuple(payloads)
-
-
-def _share_trace(spec: ExperimentSpec, trace: Any) -> None:
-    """Seed the per-process trace LRU so later executions reuse ``trace``."""
-    from ..simulation import parallel as parallel_mod
-
-    trace_seed = spec.run_seeds()[0]
-    if trace_seed is None:
-        return
-    try:
-        key = (
-            spec.traffic.name,
-            tuple(sorted(spec.traffic.params.items())),
-            trace_seed,
+    except Exception:  # noqa: BLE001 - logged; execution re-raises with context
+        logger.warning(
+            "SO-BMA pre-solve failed for %s; execution will solve it instead",
+            offline[0].label,
+            exc_info=True,
         )
-    except TypeError:
-        return
-    parallel_mod._TRACE_CACHE[key] = trace
-    while len(parallel_mod._TRACE_CACHE) > parallel_mod._TRACE_CACHE_MAX:
-        parallel_mod._TRACE_CACHE.popitem(last=False)
+    return tuple(payloads)
 
 
 def build_execution_plan(

@@ -1,4 +1,4 @@
-"""Task-group execution shared by the serial and queue scheduler backends.
+"""Task-group execution shared by every scheduler backend.
 
 A :class:`~repro.exec.plan.PlanTask` groups specs that share a workload and
 a seed; :func:`run_task_specs` executes such a group in one process:
@@ -6,9 +6,14 @@ a seed; :func:`run_task_specs` executes such a group in one process:
 * a multi-spec group of streaming specs replays **one** shared stream
   through every algorithm in lockstep (:func:`run_shared_stream`, the
   engine behind the sequential ``compare_on_shared_trace``);
-* otherwise the shared trace is materialized once and each spec replays it
-  (bit-identical to the streamed path and to fully independent execution,
-  since the trace depends only on the traffic spec and the spawned seed).
+* otherwise the shared trace is materialized once — or taken from the
+  per-process trace cache, which the planner's SO-BMA pre-solve seeds — and
+  each spec replays it (bit-identical to the streamed path and to fully
+  independent execution, since the trace depends only on the traffic spec
+  and the spawned seed).
+
+The serial and queue backends call it once per task group; pool workers
+call it once per spec (:func:`repro.simulation.parallel._worker`).
 
 Failures follow the :class:`~repro.errors.WorkerExecutionError` contract —
 the failing spec's JSON travels in the message — and ``collect`` turns
@@ -25,7 +30,7 @@ from ..errors import WorkerExecutionError
 from ..experiments.observers import SimulationObserver
 from ..experiments.specs import ExperimentSpec
 from ..simulation.engine import StreamingSimulation, run_simulation
-from ..simulation.parallel import _describe_spec
+from ..simulation.parallel import _cached_trace, _describe_spec
 from ..simulation.results import RunResult
 from ..simulation.runner import execute_experiment_spec
 from ..traffic.base import Trace
@@ -113,7 +118,7 @@ def run_task_specs(
                     )
                 else:
                     if shared_trace is None:
-                        shared_trace = spec.build_trace()
+                        shared_trace = _cached_trace(spec)
                     result = execute_experiment_spec(
                         spec, trace=shared_trace, observers=observers
                     )

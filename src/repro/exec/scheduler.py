@@ -5,16 +5,16 @@
 a plan executor:
 
 ``"serial"``
-    In-process execution, one task group at a time.  The only backend that
+    In-process execution, one task group at a time, each through
+    :func:`repro.exec.runtime.run_task_specs`.  The only backend that
     honours observers; sequential semantics are the reference every other
     backend must match bit-identically.
 ``"pool"``
-    The established process-pool fan-out
-    (:func:`repro.simulation.parallel._execute_batch`), re-seated on the
-    planner: groups are flattened to per-spec units in group-consecutive
-    order so chunked dispatch keeps per-worker trace caches warm, and the
-    plan's pre-solved SO-BMA rounds ship to every worker via the pool
-    initializer.
+    Process-pool fan-out (:func:`repro.simulation.parallel._execute_batch`):
+    groups are flattened to per-spec units in group-consecutive order so
+    chunked dispatch keeps per-worker trace caches warm, each unit runs
+    ``run_task_specs`` on a one-spec task, and the plan's pre-solved SO-BMA
+    rounds ship to every worker via the pool initializer.
 ``"queue"``
     The file-based pull scheduler (:mod:`repro.exec.queue`): tasks are JSON
     files claimed via atomic renames, independently launched
@@ -30,7 +30,7 @@ queue workers write their own results and the parent merges).
 
 from __future__ import annotations
 
-import os
+import logging
 from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Sequence, Union
 
@@ -52,6 +52,8 @@ __all__ = [
 #: Environment variable consulted when no explicit worker count is given
 #: (mirrors ``REPRO_RUN_STORE``/``REPRO_RNG_MODE``; explicit argument wins).
 ENV_WORKERS = parallel_mod.ENV_WORKERS
+
+logger = logging.getLogger(__name__)
 
 #: Name -> plan-executor registry for scheduler backends.
 SCHEDULER_BACKENDS: Registry = Registry("scheduler backend")
@@ -184,7 +186,11 @@ class _ResultsPlane:
 
 
 def _import_solver_payloads(payloads: Sequence[dict]) -> None:
-    """Seed this process's solver memo from a task's pre-solved rounds."""
+    """Seed this process's solver memo from a task's pre-solved rounds.
+
+    Pre-solving is an optimisation: a payload that fails to import is
+    logged and skipped, and the run solves that demand itself.
+    """
     if not payloads:
         return
     from ..matching.static_solver import import_solver_rounds
@@ -192,55 +198,30 @@ def _import_solver_payloads(payloads: Sequence[dict]) -> None:
     for payload in payloads:
         try:
             import_solver_rounds(payload)
-        except Exception:  # pragma: no cover - pre-solve is best-effort
-            continue
-
-
-def _needs_rich_path(plan: ExecutionPlan) -> bool:
-    """Whether serial execution must go through the task-group runtime.
-
-    Observers only exist there, and streaming specs must keep their
-    bounded-memory replay (lockstep tee for shared-stream groups, lazy
-    stream for solo specs) instead of the flat path's materialized traces.
-    """
-    if plan.observers:
-        return True
-    return any(s.traffic.streaming for task in plan.tasks for s in task.specs)
+        except Exception:  # noqa: BLE001 - logged; execution re-solves
+            logger.warning("skipping unusable solver payload", exc_info=True)
 
 
 @SCHEDULER_BACKENDS.register("serial")
 def _run_serial(plan: ExecutionPlan, options: ExecOptions, plane: _ResultsPlane) -> None:
-    """In-process execution, task group by task group."""
-    if not plan.tasks:
-        return
+    """In-process execution: ``run_task_specs`` per task group.
+
+    Pool workers run the same function on one-spec tasks, so serial is the
+    pool body run in-process.
+    """
+    from . import runtime
+
     collect = plan.on_error == "collect"
     for task in plan.tasks:
         _import_solver_payloads(task.solver)
-    if _needs_rich_path(plan):
-        from . import runtime
-
-        for task in plan.tasks:
-            outcomes = runtime.run_task_specs(
-                task.specs,
-                observers=plan.observers,
-                collect=collect,
-                max_attempts=options.max_attempts,
-            )
-            for index, (outcome, attempts) in zip(task.indices, outcomes):
-                plane.deliver(index, outcome, attempts)
-    else:
-        # The common case funnels through the legacy dispatch seam
-        # (`_execute_batch` with workers=1): identical per-spec execution,
-        # shared traces served by the per-process LRU the planner pre-seeded.
-        indices = [i for task in plan.tasks for i in task.indices]
-        parallel_mod._set_exec_context(collect=collect, max_attempts=options.max_attempts)
-        try:
-            outcomes = parallel_mod._execute_batch(
-                [plan.specs[i] for i in indices], 1, options.chunksize
-            )
-        finally:
-            parallel_mod._reset_exec_context()
-        for index, (outcome, attempts) in zip(indices, outcomes):
+    for task in plan.tasks:
+        outcomes = runtime.run_task_specs(
+            task.specs,
+            observers=plan.observers,
+            collect=collect,
+            max_attempts=options.max_attempts,
+        )
+        for index, (outcome, attempts) in zip(task.indices, outcomes):
             plane.deliver(index, outcome, attempts)
 
 

@@ -3,30 +3,31 @@
 :func:`run_simulation` replays a trace through an online b-matching
 algorithm, measuring the algorithm's wall-clock time (excluding the engine's
 own checkpoint bookkeeping) and recording the cumulative cost series at
-evenly spaced checkpoints.
+checkpoints.
 
-Two replay paths share identical semantics:
+There is one drive loop, :class:`StreamingSimulation`: it is fed contiguous
+trace segments in global order and fires checkpoints and observer batches
+at the same global positions wherever segment boundaries fall.  A
+:class:`~repro.traffic.stream.TraceStream` is fed chunk by chunk; a
+materialized :class:`~repro.traffic.base.Trace` is fed as a single segment.
+Offline algorithms (``requires_full_trace``) are fitted on the materialized
+trace before the first request.  Each segment is served in one of two feed
+modes with identical semantics:
 
-* the **reference path** serves one request per loop iteration, exactly as
-  the original implementation did.  It is used when
-  ``SimulationConfig.matching_backend == "reference"``, when per-request
-  matching history is collected, and when an observer demands per-request
-  batches;
-* the **batched path** pre-materialises the trace once, splits it into
-  contiguous segments bounded by checkpoints (and observer batch intervals),
-  and hands each segment to the algorithm's ``serve_batch`` in a single call,
-  so checkpoint checks, observer dispatch, and Request/ServeOutcome
-  allocation are paid per segment instead of per request.  Every registered
-  algorithm ships a hand-tuned ``serve_batch``; algorithms that do not
-  override it inherit the base-class per-request loop inside the batched
-  path, so there is no engine-level fallback to route around ``serve_batch``.
-  The ``"numba"`` backend rides this same path unchanged: the engine hands
-  out identical segments and the algorithms' drivers decide per segment
-  whether the compiled scan kernels apply, so observer and checkpoint
-  semantics are untouched by the compiled backend.  Each result records the
-  requested backend and the kernel that actually ran in
-  ``RunResult.extra["matching_backend"]`` / ``extra["matching_kernel"]``
-  (they differ exactly when numba fell back to the fast kernel).
+* the **batched mode** splits the segment into contiguous runs bounded by
+  checkpoints (and observer batch intervals) and hands each run to the
+  algorithm's ``serve_batch`` in a single call, so checkpoint checks,
+  observer dispatch, and Request/ServeOutcome allocation are paid per run
+  instead of per request.  Algorithms that do not override ``serve_batch``
+  inherit the base-class per-request loop;
+* the **reference mode** serves one request per loop iteration.  It is used
+  when ``SimulationConfig.matching_backend == "reference"``, when
+  per-request matching history is collected, and when an observer demands
+  per-request batches.
+
+Each result records the requested matching backend and the kernel that
+actually ran in ``RunResult.extra["matching_backend"]`` /
+``extra["matching_kernel"]``.
 
 Checkpoint positions default to evenly spaced request counts
 (:func:`_checkpoint_positions`); ``SimulationConfig.checkpoint_positions``
@@ -184,65 +185,6 @@ def _resolve_checkpoints(n_requests: int, config: SimulationConfig) -> np.ndarra
     return positions
 
 
-def _assemble_result(
-    algorithm: OnlineBMatchingAlgorithm,
-    config: SimulationConfig,
-    workload: str,
-    n_requests: int,
-    cp_requests: list,
-    cp_routing: list,
-    cp_reconf: list,
-    cp_elapsed: list,
-    cp_matched: list,
-    elapsed_seconds: float,
-    matching_history: list,
-) -> RunResult:
-    """Build the :class:`RunResult` shared by the materialized and streaming drives."""
-    series = CheckpointSeries(
-        requests=np.asarray(cp_requests, dtype=np.int64),
-        routing_cost=np.asarray(cp_routing, dtype=np.float64),
-        reconfiguration_cost=np.asarray(cp_reconf, dtype=np.float64),
-        elapsed_seconds=np.asarray(cp_elapsed, dtype=np.float64),
-        matched_fraction=np.asarray(cp_matched, dtype=np.float64),
-    )
-    extra: dict = {
-        # Provenance: the backend the config asked for and the kernel that
-        # actually ran.  They differ exactly when the numba backend fell
-        # back to the pure-Python fast kernel (numba missing or masked).
-        "matching_backend": config.matching_backend,
-        "matching_kernel": algorithm.matching.backend_name,
-    }
-    # Static-solver provenance (SO-BMA): the solver backend the config asked
-    # for and the blossom kernel that actually ran — same requested/effective
-    # contract as the matching keys above, populated by the algorithm's fit.
-    solver_provenance = getattr(algorithm, "solver_provenance", None)
-    if solver_provenance:
-        extra.update(solver_provenance)
-    # RNG-mode provenance (randomized algorithms only): the rng_mode the
-    # config requested (None when the library default applied) and the mode
-    # that actually ran.  Deterministic algorithms record nothing.
-    rng_provenance = getattr(algorithm, "rng_provenance", None)
-    if rng_provenance:
-        extra.update(rng_provenance)
-    if config.collect_matching_history:
-        extra["matching_history"] = matching_history
-    return RunResult(
-        algorithm=algorithm.name,
-        workload=workload,
-        topology=algorithm.topology.name,
-        b=algorithm.config.b,
-        alpha=algorithm.config.alpha,
-        n_requests=n_requests,
-        seed=config.seed,
-        series=series,
-        total_routing_cost=algorithm.total_routing_cost,
-        total_reconfiguration_cost=algorithm.total_reconfiguration_cost,
-        total_elapsed_seconds=elapsed_seconds,
-        matched_fraction=algorithm.matched_fraction,
-        extra=extra,
-    )
-
-
 def run_simulation(
     algorithm: OnlineBMatchingAlgorithm,
     trace: "Trace | TraceStream",
@@ -262,11 +204,12 @@ def run_simulation(
         already matches); the rebind preserves state exactly and consumes no
         randomness, so results are bit-identical across backends.
     trace:
-        The workload to replay.  A :class:`~repro.traffic.stream.TraceStream`
-        is consumed segment by segment through :class:`StreamingSimulation`
-        (peak memory bounded by the chunk size, results bit-identical to the
-        materialized replay); offline algorithms (``requires_full_trace``)
-        materialize the stream first, since they need the whole trace to fit.
+        The workload to replay through :class:`StreamingSimulation`: a
+        :class:`~repro.traffic.stream.TraceStream` segment by segment (peak
+        memory bounded by the chunk size), a materialized trace as one
+        segment; results are bit-identical either way.  Offline algorithms
+        (``requires_full_trace``) materialize a stream first, since they need
+        the whole trace to fit.
     config:
         Simulation parameters (checkpoints, matching backend, seed
         recording).  The seed in the config is *not* applied to the
@@ -281,191 +224,57 @@ def run_simulation(
         each checkpoint.  Observer time is excluded from the measured
         algorithm wall-clock time.
     """
+    if isinstance(trace, TraceStream) and algorithm.requires_full_trace:
+        trace = trace.materialize()
     if isinstance(trace, TraceStream):
-        if algorithm.requires_full_trace:
-            return run_simulation(
-                algorithm, trace.materialize(), config, validate, observers
-            )
-        driver = StreamingSimulation(
-            algorithm,
-            trace.metadata,
-            config=config,
-            validate=validate,
-            observers=observers,
-            n_requests=trace.n_requests,
-            source=trace,
-        )
-        for segment in trace:
-            driver.feed(segment)
-        return driver.finish()
-
-    config = config or SimulationConfig()
-    if trace.n_nodes > algorithm.topology.n_racks:
-        raise SimulationError(
-            f"trace addresses {trace.n_nodes} racks but topology has only "
-            f"{algorithm.topology.n_racks}"
-        )
-    if algorithm.requests_served:
-        raise SimulationError(
-            "algorithm has already served requests; call reset() or use a fresh instance"
-        )
-    algorithm.rebind_matching_backend(config.matching_backend)
-
-    watchers = ObserverList(observers)
-    if validate:
-        watchers.observers.append(ValidationObserver())
-    notify = bool(watchers)
-
-    n_requests = len(trace)
-    checkpoints = _resolve_checkpoints(n_requests, config)
-    timer = Timer()
-
-    context = RunContext(algorithm=algorithm, trace=trace, config=config,
-                         n_requests=n_requests)
-    if notify:
-        watchers.on_start(context)
-    batch_interval = watchers.batch_interval if notify else None
-
-    cp_requests: list[int] = []
-    cp_routing: list[float] = []
-    cp_reconf: list[float] = []
-    cp_elapsed: list[float] = []
-    cp_matched: list[float] = []
-    matching_history: list[frozenset] = []
-
-    use_batched_path = (
-        config.matching_backend != "reference"
-        and not config.collect_matching_history
-        # Per-request batches (e.g. ValidationObserver) degenerate to
-        # single-element segments; the plain loop is faster and identical.
-        and (batch_interval is None or batch_interval > 1)
-    )
-
-    if algorithm.requires_full_trace:
-        with timer:
-            algorithm.fit(trace if use_batched_path else list(trace.requests()))
-
-    def record_checkpoint(index: int, served: int) -> None:
-        cp_requests.append(served)
-        cp_routing.append(algorithm.total_routing_cost)
-        cp_reconf.append(algorithm.total_reconfiguration_cost)
-        cp_elapsed.append(timer.elapsed)
-        cp_matched.append(algorithm.matched_fraction)
-        if notify:
-            watchers.on_checkpoint(
-                context,
-                CheckpointEvent(
-                    index=index,
-                    requests_served=served,
-                    routing_cost=algorithm.total_routing_cost,
-                    reconfiguration_cost=algorithm.total_reconfiguration_cost,
-                    elapsed_seconds=timer.elapsed,
-                    matched_fraction=algorithm.matched_fraction,
-                ),
-            )
-
-    if use_batched_path:
-        checkpoint_list = checkpoints.tolist()
-        n_checkpoints = len(checkpoint_list)
-        next_checkpoint_idx = 0
-        served = 0
-        batch_start = 0
-        while served < n_requests:
-            # Explicit checkpoint overrides may end before the last request;
-            # the remaining tail is then served as one final segment.
-            if next_checkpoint_idx < n_checkpoints:
-                stop = checkpoint_list[next_checkpoint_idx]
-            else:
-                stop = n_requests
-            if batch_interval is not None:
-                stop = min(stop, batch_start + batch_interval)
-            segment = trace[served:stop]
-            with timer:
-                algorithm.serve_batch(segment)
-            served = stop
-            at_checkpoint = (
-                next_checkpoint_idx < n_checkpoints
-                and served >= checkpoint_list[next_checkpoint_idx]
-            )
-            if notify and served > batch_start:
-                interval_reached = (
-                    batch_interval is not None and served - batch_start >= batch_interval
-                )
-                if interval_reached or at_checkpoint:
-                    watchers.on_request_batch(context, batch_start, served)
-                    batch_start = served
-            if at_checkpoint:
-                record_checkpoint(next_checkpoint_idx, served)
-                next_checkpoint_idx += 1
-        # Flush the trailing partial batch (requests past the last checkpoint
-        # or short of a full interval) so observers see every request.
-        if notify and served > batch_start:
-            watchers.on_request_batch(context, batch_start, served)
-            batch_start = served
+        n_requests, segments = trace.n_requests, trace
     else:
-        next_checkpoint_idx = 0
-        served = 0
-        batch_start = 0
-        for i in range(n_requests):
-            request = trace[i]
-            with timer:
-                algorithm.serve(request)
-            served += 1
-            if config.collect_matching_history:
-                matching_history.append(algorithm.matching.edges)
-            at_checkpoint = (
-                next_checkpoint_idx < len(checkpoints)
-                and served >= checkpoints[next_checkpoint_idx]
-            )
-            if notify and batch_interval is not None and served - batch_start >= batch_interval:
-                watchers.on_request_batch(context, batch_start, served)
-                batch_start = served
-            if at_checkpoint:
-                if notify and served > batch_start:
-                    watchers.on_request_batch(context, batch_start, served)
-                    batch_start = served
-                record_checkpoint(next_checkpoint_idx, served)
-                next_checkpoint_idx += 1
-        # Flush the trailing partial batch (requests past the last checkpoint
-        # or short of a full interval) so observers see every request.
-        if notify and served > batch_start:
-            watchers.on_request_batch(context, batch_start, served)
-            batch_start = served
-
-    result = _assemble_result(
-        algorithm, config, trace.name, n_requests,
-        cp_requests, cp_routing, cp_reconf, cp_elapsed, cp_matched,
-        timer.elapsed, matching_history,
+        # A materialized trace is a one-segment stream; rebasing to global
+        # index 0 lets a sliced trace replay like any other.
+        n_requests, segments = len(trace), (trace.with_offset(0),)
+    driver = StreamingSimulation(
+        algorithm,
+        trace.metadata,
+        config=config,
+        validate=validate,
+        observers=observers,
+        n_requests=n_requests,
+        source=trace,
     )
-    if notify:
-        watchers.on_end(context, result)
-    return result
+    for segment in segments:
+        driver.feed(segment)
+    return driver.finish()
 
 
 class StreamingSimulation:
-    """Incremental drive loop over streamed trace segments.
+    """The engine's drive loop over contiguous trace segments.
 
     Construct with a fresh algorithm, :meth:`feed` contiguous
     :class:`~repro.traffic.base.Trace` segments in global order, then call
-    :meth:`finish` for the :class:`RunResult`.  The result is **bit-identical**
-    to :func:`run_simulation` on the materialized concatenation of the
-    segments: checkpoints and observer batches fire at the same global
-    positions regardless of where segment boundaries fall, and per-segment
-    cost sums are exact (path lengths are integral floats, so float64
-    addition is lossless far past any realistic trace length).
+    :meth:`finish` for the :class:`RunResult`.  The result does not depend
+    on where segment boundaries fall: checkpoints and observer batches fire
+    at the same global positions, and per-segment cost sums are exact (path
+    lengths are integral floats, so float64 addition is lossless far past
+    any realistic trace length).  Feeding the segments one by one is
+    therefore **bit-identical** to feeding their concatenation as a single
+    segment.
+
+    Offline algorithms (``requires_full_trace``) need ``source`` to be the
+    materialized :class:`~repro.traffic.base.Trace`; they are fitted on it
+    right after the observers' ``on_start``, inside the algorithm timer.
 
     Checkpoint planning:
 
-    * declared ``n_requests`` — identical to the materialized run
-      (:func:`_resolve_checkpoints`, evenly spaced or the explicit override);
+    * declared ``n_requests`` — :func:`_resolve_checkpoints`, evenly spaced
+      or the explicit override;
     * unknown length with explicit ``config.checkpoint_positions`` — the
       positions are used as given and must all be reached by exhaustion;
     * unknown length, no override — tail-flush strategy: one checkpoint
       recorded at exhaustion (even spacing needs the length up front).
 
-    :func:`run_simulation` drives one of these per stream; the runner's
-    shared-stream fan-out (``compare_on_shared_trace``) drives several in
-    lockstep off one tee'd stream.
+    :func:`run_simulation` drives one of these per trace or stream; the
+    runner's shared-stream fan-out (``compare_on_shared_trace``) drives
+    several in lockstep off one tee'd stream.
     """
 
     def __init__(
@@ -476,7 +285,7 @@ class StreamingSimulation:
         validate: bool = False,
         observers: Iterable[SimulationObserver] = (),
         n_requests: Optional[int] = None,
-        source: Optional[TraceStream] = None,
+        source: "Trace | TraceStream | None" = None,
     ):
         config = config or SimulationConfig()
         if metadata.n_nodes > algorithm.topology.n_racks:
@@ -488,10 +297,11 @@ class StreamingSimulation:
             raise SimulationError(
                 "algorithm has already served requests; call reset() or use a fresh instance"
             )
-        if algorithm.requires_full_trace:
+        if algorithm.requires_full_trace and not isinstance(source, Trace):
             raise SimulationError(
                 f"algorithm {algorithm.name!r} requires the full trace to fit; "
-                "materialize the stream first (run_simulation does this automatically)"
+                "pass the materialized trace as source (run_simulation does this "
+                "automatically)"
             )
         algorithm.rebind_matching_backend(config.matching_backend)
 
@@ -544,6 +354,13 @@ class StreamingSimulation:
         )
         if self._notify:
             self._watchers.on_start(self._context)
+        if algorithm.requires_full_trace:
+            # Fit time is algorithm time: it lands in the first checkpoint's
+            # elapsed_seconds and in total_elapsed_seconds.
+            with self._timer:
+                algorithm.fit(
+                    source if self._use_batched else list(source.requests())
+                )
 
     @property
     def requests_served(self) -> int:
@@ -606,9 +423,9 @@ class StreamingSimulation:
         base = segment.offset
         watchers = self._watchers
         while self._served < end:
-            # Same boundaries as the materialized batched path — checkpoints
-            # and observer intervals — plus the segment end; extra splits at
-            # segment ends cannot change results (exact integral-float sums).
+            # Runs end at checkpoints, observer intervals and the segment
+            # end; splits at segment ends cannot change results (exact
+            # integral-float sums).
             stop = end
             if checkpoints is not None and self._next_cp < n_cp:
                 stop = min(stop, checkpoints[self._next_cp])
@@ -686,19 +503,61 @@ class StreamingSimulation:
                 f"checkpoint_positions reach {self._checkpoints[-1]} but the "
                 f"stream delivered only {n} requests"
             )
-        # Flush the trailing partial batch (same contract as the materialized
-        # paths): observers see every request exactly once before on_end.
+        # Flush the trailing partial batch: observers see every request
+        # exactly once before on_end.
         if self._notify and self._served > self._batch_start:
             self._watchers.on_request_batch(self._context, self._batch_start, self._served)
             self._batch_start = self._served
         if self._checkpoints is None:
             self._record_checkpoint(0, n)
-        result = _assemble_result(
-            self.algorithm, self.config, self.metadata.name, n,
-            self._cp_requests, self._cp_routing, self._cp_reconf,
-            self._cp_elapsed, self._cp_matched,
-            self._timer.elapsed, self._matching_history,
-        )
+        result = self._assemble_result(n)
         if self._notify:
             self._watchers.on_end(self._context, result)
         return result
+
+    def _assemble_result(self, n_requests: int) -> RunResult:
+        algorithm = self.algorithm
+        config = self.config
+        series = CheckpointSeries(
+            requests=np.asarray(self._cp_requests, dtype=np.int64),
+            routing_cost=np.asarray(self._cp_routing, dtype=np.float64),
+            reconfiguration_cost=np.asarray(self._cp_reconf, dtype=np.float64),
+            elapsed_seconds=np.asarray(self._cp_elapsed, dtype=np.float64),
+            matched_fraction=np.asarray(self._cp_matched, dtype=np.float64),
+        )
+        extra: dict = {
+            # Provenance: the backend the config asked for and the kernel that
+            # actually ran.  They differ exactly when the numba backend fell
+            # back to the pure-Python fast kernel (numba missing or masked).
+            "matching_backend": config.matching_backend,
+            "matching_kernel": algorithm.matching.backend_name,
+        }
+        # Static-solver provenance (SO-BMA): the solver backend the config asked
+        # for and the blossom kernel that actually ran — same requested/effective
+        # contract as the matching keys above, populated by the algorithm's fit.
+        solver_provenance = getattr(algorithm, "solver_provenance", None)
+        if solver_provenance:
+            extra.update(solver_provenance)
+        # RNG-mode provenance (randomized algorithms only): the rng_mode the
+        # config requested (None when the library default applied) and the mode
+        # that actually ran.  Deterministic algorithms record nothing.
+        rng_provenance = getattr(algorithm, "rng_provenance", None)
+        if rng_provenance:
+            extra.update(rng_provenance)
+        if config.collect_matching_history:
+            extra["matching_history"] = self._matching_history
+        return RunResult(
+            algorithm=algorithm.name,
+            workload=self.metadata.name,
+            topology=algorithm.topology.name,
+            b=algorithm.config.b,
+            alpha=algorithm.config.alpha,
+            n_requests=n_requests,
+            seed=config.seed,
+            series=series,
+            total_routing_cost=algorithm.total_routing_cost,
+            total_reconfiguration_cost=algorithm.total_reconfiguration_cost,
+            total_elapsed_seconds=self._timer.elapsed,
+            matched_fraction=algorithm.matched_fraction,
+            extra=extra,
+        )

@@ -25,6 +25,10 @@ Sharding model
   child — so the fan-out works identically whether the platform forks or
   spawns, without relying on inherited module state — and it seeds
   nothing, so worker identity can never leak into results.
+* **One per-spec body.**  A pool unit runs :func:`_worker`, which is
+  :func:`repro.exec.runtime.run_task_specs` on a one-spec task — the same
+  function the serial backend calls per task group in-process — so retry,
+  failure wrapping and trace reuse behave identically on every backend.
 * **Per-process caches stay warm.**  Within one worker, consecutive specs
   that share a workload reuse the generated trace (a small LRU keyed by
   traffic spec and trace seed), and :meth:`TopologySpec.build
@@ -49,12 +53,14 @@ import os
 import pickle
 import warnings
 from collections import OrderedDict
-from dataclasses import dataclass
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import TYPE_CHECKING, Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
-from ..errors import SimulationError, WorkerExecutionError
-from .results import RunResult
-from .runner import AnySpec, as_experiment_spec, execute_experiment_spec
+from ..errors import SimulationError
+from ..experiments.specs import ExperimentSpec
+from .runner import AnySpec
+
+if TYPE_CHECKING:
+    from ..exec.runtime import Outcome
 
 __all__ = ["run_specs_parallel", "default_worker_count", "default_chunksize"]
 
@@ -117,12 +123,12 @@ def default_chunksize(n_specs: int, n_workers: int) -> int:
 _TRACE_CACHE: "OrderedDict[tuple, Any]" = OrderedDict()
 _TRACE_CACHE_MAX = 4
 
-#: Batch-scoped execution context for :func:`_execute_batch`.  The dispatch
-#: seam's signature is pinned to ``(specs, workers, chunksize)`` — tests and
-#: callers monkeypatch it — so scheduler policy (pre-solved SO-BMA rounds to
-#: seed worker solver memos, collect-vs-raise error handling, retry budget)
-#: travels out of band: the scheduler sets it around a batch, and the pool
-#: initializer ships a snapshot to every child via ``initargs``.
+#: Batch-scoped execution context for :func:`_execute_batch`.  Pool workers
+#: receive one spec per call (:func:`_worker`), so scheduler policy
+#: (pre-solved SO-BMA rounds to seed worker solver memos, collect-vs-raise
+#: error handling, retry budget) travels out of band: the scheduler sets it
+#: around a batch, and the pool initializer ships a snapshot to every child
+#: via ``initargs``.
 _DEFAULT_EXEC_CONTEXT: Dict[str, Any] = {
     "solver_rounds": (),
     "collect": False,
@@ -162,6 +168,7 @@ def _init_worker(context: Optional[Mapping[str, Any]] = None) -> None:
     never re-solve demand the planner already solved.
     """
     from .. import core, topology, traffic  # noqa: F401  (registry population)
+    from ..exec.scheduler import _import_solver_payloads
 
     _TRACE_CACHE.clear()
     _reset_exec_context()
@@ -170,40 +177,42 @@ def _init_worker(context: Optional[Mapping[str, Any]] = None) -> None:
             collect=bool(context.get("collect", False)),
             max_attempts=max(1, int(context.get("max_attempts", 1))),
         )
-        payloads = context.get("solver_rounds") or ()
-        if payloads:
-            from ..matching.static_solver import import_solver_rounds
-
-            for payload in payloads:
-                try:
-                    import_solver_rounds(payload)
-                except Exception:  # noqa: BLE001 - pre-solve is best-effort
-                    continue
+        _import_solver_payloads(context.get("solver_rounds") or ())
 
 
-def _cached_trace(spec) -> Any:
-    """The spec's trace, rebuilt deterministically and memoised per process."""
+def _trace_cache_key(spec) -> Optional[tuple]:
+    """The spec's :data:`_TRACE_CACHE` key, or ``None`` when it must not be cached."""
     trace_seed = spec.run_seeds()[0]
     if trace_seed is None:
         # Unseeded specs draw fresh entropy per run; caching would turn
         # independent workloads into copies of one draw.
-        return spec.build_trace(trace_seed)
+        return None
+    key = (spec.traffic.name, tuple(sorted(spec.traffic.params.items())), trace_seed)
     try:
-        key = (
-            spec.traffic.name,
-            tuple(sorted(spec.traffic.params.items())),
-            trace_seed,
-        )
-        trace = _TRACE_CACHE.get(key)
+        hash(key)
     except TypeError:  # unhashable generator params: rebuild every time
-        return spec.build_trace(trace_seed)
-    if trace is None:
-        trace = spec.build_trace(trace_seed)
-        _TRACE_CACHE[key] = trace
-    else:
-        _TRACE_CACHE.move_to_end(key)
+        return None
+    return key
+
+
+def _share_trace(spec, trace: Any) -> None:
+    """Insert ``trace`` as the spec's cached workload, evicting the oldest."""
+    key = _trace_cache_key(spec)
+    if key is None:
+        return
+    _TRACE_CACHE[key] = trace
+    _TRACE_CACHE.move_to_end(key)
     while len(_TRACE_CACHE) > _TRACE_CACHE_MAX:
         _TRACE_CACHE.popitem(last=False)
+
+
+def _cached_trace(spec) -> Any:
+    """The spec's trace, rebuilt deterministically and memoised per process."""
+    key = _trace_cache_key(spec)
+    trace = None if key is None else _TRACE_CACHE.get(key)
+    if trace is None:
+        trace = spec.build_trace()
+    _share_trace(spec, trace)
     return trace
 
 
@@ -215,56 +224,24 @@ def _describe_spec(spec) -> str:
         return repr(spec)
 
 
-@dataclass(frozen=True)
-class _WorkerFailure:
-    """A spec's terminal failure under ``collect`` mode (picklable record)."""
+def _worker(spec: ExperimentSpec) -> Tuple[Outcome, int]:
+    """Execute one spec in a pool worker; returns ``(outcome, attempts)``.
 
-    message: str
-    error_type: str
-
-
-_WorkerOutcome = Tuple[Union[RunResult, _WorkerFailure], int]
-
-
-def _worker(spec: AnySpec) -> _WorkerOutcome:
-    """Execute one spec; returns ``(outcome, attempts)``.
-
-    A bare exception escaping a pool worker reaches the caller stripped of
-    its worker-side traceback and cause, with no hint of *which* of
-    possibly hundreds of specs failed; re-raising as
-    :class:`~repro.errors.WorkerExecutionError` with the spec's JSON in the
-    message makes a sweep failure diagnosable from the parent process
-    alone.  Used by both the pool path and the in-process ``n_workers=1``
-    fallback so failures read the same either way.  Under the batch
-    context's ``collect`` policy a terminal failure becomes a
-    :class:`_WorkerFailure` record instead of raising, and ``max_attempts``
-    retries the spec before the failure is terminal.
+    The body is the serial backend's per-task function,
+    :func:`repro.exec.runtime.run_task_specs`, on a one-spec task, so a
+    spec fails, retries and reports the same way on either backend: a
+    terminal failure raises :class:`~repro.errors.WorkerExecutionError`
+    carrying the spec's JSON (diagnosable from the parent alone) or, under
+    the batch context's ``collect`` policy, becomes a
+    :class:`~repro.exec.runtime.TaskError` record.
     """
-    experiment = as_experiment_spec(spec)
-    max_attempts = max(1, int(_EXEC_CONTEXT.get("max_attempts", 1)))
-    collect = bool(_EXEC_CONTEXT.get("collect", False))
-    attempts = 0
-    while True:
-        attempts += 1
-        try:
-            result = execute_experiment_spec(experiment, trace=_cached_trace(experiment))
-            return result, attempts
-        except WorkerExecutionError as exc:
-            if attempts < max_attempts:
-                continue
-            if collect:
-                return _WorkerFailure(str(exc), type(exc).__name__), attempts
-            raise
-        except Exception as exc:
-            if attempts < max_attempts:
-                continue
-            failure = WorkerExecutionError(
-                f"worker failed with {type(exc).__name__}: {exc}; "
-                f"failing spec: {_describe_spec(experiment)}"
-            )
-            if collect:
-                return _WorkerFailure(str(failure), type(exc).__name__), attempts
-            raise failure from exc
+    from ..exec.runtime import run_task_specs
+
+    return run_task_specs(
+        [spec],
+        collect=bool(_EXEC_CONTEXT["collect"]),
+        max_attempts=int(_EXEC_CONTEXT["max_attempts"]),
+    )[0]
 
 
 def _check_picklable(specs: Sequence[AnySpec]) -> None:
@@ -285,19 +262,15 @@ def _check_picklable(specs: Sequence[AnySpec]) -> None:
 
 
 def _execute_batch(
-    specs: Sequence[AnySpec], workers: int, chunksize: Optional[int]
-) -> List[_WorkerOutcome]:
+    specs: Sequence[ExperimentSpec], workers: int, chunksize: Optional[int]
+) -> List[Tuple[Outcome, int]]:
     """Run ``specs`` in-process or across a pool, preserving input order.
 
-    This is the dispatch seam the scheduler backends call (and tests
-    monkeypatch); its signature stays ``(specs, workers, chunksize)``, with
-    batch policy carried by :data:`_EXEC_CONTEXT`.  Returns one
-    ``(outcome, attempts)`` pair per spec.
+    The pool backend's dispatch seam, with batch policy carried by
+    :data:`_EXEC_CONTEXT`.  Returns one ``(outcome, attempts)`` pair per
+    spec.
     """
     if workers == 1 or len(specs) == 1:
-        # In-process fallback goes through the same _worker wrapper as the
-        # pool so failures carry identical spec context (and consecutive
-        # specs sharing a workload hit the same trace cache).
         return [_worker(spec) for spec in specs]
     _check_picklable(specs)
     if chunksize is None:

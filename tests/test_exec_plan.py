@@ -19,6 +19,10 @@ pool or a subprocess (the subprocess-backed queue tier lives in
 
 from __future__ import annotations
 
+import logging
+from collections import OrderedDict
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -33,6 +37,7 @@ from repro.exec import (
 from repro.experiments import ExperimentSpec
 from repro.matching import static_solver
 from repro.simulation import RunSpec, run_specs_parallel
+from repro.simulation import parallel as parallel_mod
 from repro.simulation.results import RunResult
 from repro.simulation.runner import execute_experiment_spec
 from repro.store import RunStore, fingerprint_spec
@@ -174,6 +179,68 @@ class TestPresolve:
     def test_presolve_can_be_disabled(self):
         plan = build_execution_plan([_so_bma_spec()], store=False, presolve=False)
         assert plan.describe()["presolved"] == 0
+
+    def test_serial_plan_builds_the_shared_trace_once(self, monkeypatch):
+        # The pre-solve's trace seeds the per-process trace cache, and serial
+        # execution must replay it rather than regenerate it.
+        monkeypatch.setattr(parallel_mod, "_TRACE_CACHE", OrderedDict())
+        static_solver.solver_cache_clear()
+        builds = []
+        real_build = ExperimentSpec.build_trace
+
+        def counting_build(self, *args, **kwargs):
+            builds.append(self.algorithm.name)
+            return real_build(self, *args, **kwargs)
+
+        monkeypatch.setattr(ExperimentSpec, "build_trace", counting_build)
+        plan = build_execution_plan([_so_bma_spec(), _spec("rbma")], store=False)
+        assert plan.describe()["presolved"] == 1
+        results = execute_plan(plan, backend="serial")
+        assert all(isinstance(r, RunResult) for r in results)
+        assert len(builds) == 1
+
+    def test_presolve_failure_is_logged_and_execution_still_solves(
+        self, monkeypatch, caplog
+    ):
+        static_solver.solver_cache_clear()
+        expected = _so_bma_spec().execute()
+
+        def broken_export(*_args, **_kwargs):
+            raise RuntimeError("solver export unavailable")
+
+        monkeypatch.setattr(static_solver, "export_solver_rounds", broken_export)
+        with caplog.at_level(logging.WARNING, logger="repro.exec.plan"):
+            plan = build_execution_plan([_so_bma_spec()], store=False)
+        assert plan.describe()["presolved"] == 0
+        [record] = [r for r in caplog.records if r.name == "repro.exec.plan"]
+        assert record.exc_info is not None
+        [result] = execute_plan(plan, backend="serial")
+        _assert_series_identical(result, expected)
+
+    def test_corrupt_solver_payload_is_logged_and_run_is_identical(self, caplog):
+        specs = [_so_bma_spec(), _spec("rbma")]
+        static_solver.solver_cache_clear()
+        clean = execute_plan(build_execution_plan(specs, store=False), backend="serial")
+        plan = build_execution_plan(specs, store=False)
+        plan.tasks[0] = replace(plan.tasks[0], solver=({"version": 99},))
+        # Only the (corrupt) payload could spare the run its own solve.
+        static_solver.solver_cache_clear()
+        with caplog.at_level(logging.WARNING, logger="repro.exec.scheduler"):
+            corrupt = execute_plan(plan, backend="serial")
+        [record] = [r for r in caplog.records if r.name == "repro.exec.scheduler"]
+        assert record.exc_info is not None
+        assert "version" in str(record.exc_info[1])
+        for a, b in zip(clean, corrupt):
+            _assert_series_identical(a, b)
+
+    def test_pool_initializer_logs_a_corrupt_solver_payload(self, caplog):
+        try:
+            with caplog.at_level(logging.WARNING, logger="repro.exec.scheduler"):
+                parallel_mod._init_worker({"solver_rounds": [{"version": 99}]})
+        finally:
+            parallel_mod._init_worker()
+        [record] = [r for r in caplog.records if r.name == "repro.exec.scheduler"]
+        assert record.exc_info is not None
 
 
 # --------------------------------------------------------------------------- #

@@ -21,8 +21,8 @@ import pytest
 from repro.cli import main
 from repro.core.registry import ALGORITHMS
 from repro.errors import ConfigurationError, SimulationError
+from repro.exec import runtime as runtime_mod
 from repro.experiments import ExperimentSpec, canonical_data
-from repro.simulation import parallel as parallel_mod
 from repro.simulation import runner as runner_mod
 from repro.simulation.parallel import run_specs_parallel
 from repro.simulation.results import AggregateResult, RunResult, aggregate_runs
@@ -505,7 +505,7 @@ class TestRunSpecsParallelStore:
         cold = run_specs_parallel(grid, n_workers=1, store=store)
         def _boom(*_a, **_k):
             raise AssertionError("dispatched to execution despite warm store")
-        monkeypatch.setattr(parallel_mod, "_execute_batch", _boom)
+        monkeypatch.setattr(runtime_mod, "run_task_specs", _boom)
         warm = run_specs_parallel(grid, n_workers=1, store=store)
         for c, w in zip(cold, warm):
             _assert_identical(c, w)
@@ -516,10 +516,10 @@ class TestRunSpecsParallelStore:
         run_specs_parallel([warm_spec], n_workers=1, store=store)
         grid = [_spec(seed=2), warm_spec, _spec(seed=3)]
         dispatched = []
-        real = parallel_mod._execute_batch
+        real = runtime_mod.run_task_specs
         monkeypatch.setattr(
-            parallel_mod, "_execute_batch",
-            lambda specs, w, c: dispatched.extend(specs) or real(specs, w, c))
+            runtime_mod, "run_task_specs",
+            lambda specs, **kw: dispatched.extend(specs) or real(specs, **kw))
         results = run_specs_parallel(grid, n_workers=1, store=store)
         assert [s.seed for s in dispatched] == [2, 3]  # the hit never dispatched
         assert [r.spec["seed"] for r in results] == [2, 1, 3]  # input order preserved

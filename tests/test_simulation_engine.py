@@ -379,3 +379,65 @@ class TestObserverBatchTiling:
         self._assert_tiles(recorder, 40)
         materialized = self._run(40, config)
         assert recorder.batches[-1][1] == materialized.batches[-1][1] == 40
+
+
+class _SlowFit(StaticOfflineBMA):
+    """SO-BMA whose offline fit takes a known minimum wall-clock time."""
+
+    def fit(self, requests):
+        self.fit_input = requests
+        time.sleep(0.05)
+        super().fit(requests)
+
+
+class TestMaterializedReplayDrive:
+    """A materialized trace replays as a one-segment stream: fit placement,
+    fit input and offset handling are pinned here."""
+
+    def test_fit_time_counts_as_algorithm_time(self, small_fattree):
+        trace = zipf_pair_trace(n_nodes=16, n_requests=200, seed=4)
+        algo = _SlowFit(small_fattree, MatchingConfig(b=2, alpha=4), solver="greedy")
+        result = run_simulation(algo, trace, SimulationConfig(checkpoints=4))
+        assert result.total_elapsed_seconds >= 0.05
+        assert result.series.elapsed_seconds[0] >= 0.05
+
+    @pytest.mark.parametrize("backend", ["fast", "reference"])
+    def test_fit_input_per_feed_mode(self, small_fattree, backend):
+        from repro.traffic.base import Trace
+        from repro.types import Request
+
+        trace = zipf_pair_trace(n_nodes=16, n_requests=200, seed=4)
+        algo = _SlowFit(small_fattree, MatchingConfig(b=2, alpha=4), solver="greedy")
+        run_simulation(algo, trace, SimulationConfig(matching_backend=backend))
+        if backend == "reference":
+            assert isinstance(algo.fit_input, list)
+            assert len(algo.fit_input) == 200
+            assert all(isinstance(r, Request) for r in algo.fit_input)
+        else:
+            assert isinstance(algo.fit_input, Trace)
+
+    @pytest.mark.parametrize("backend", ["fast", "reference"])
+    @pytest.mark.parametrize("algo_cls", [RBMA, StaticOfflineBMA])
+    def test_sliced_trace_equals_rebased_copy(self, small_fattree, algo_cls, backend):
+        from repro.traffic.base import Trace
+
+        full = zipf_pair_trace(n_nodes=16, n_requests=500, seed=6)
+        sliced = full[100:400]
+        assert sliced.offset == 100
+        rebased = Trace(full.sources[100:400], full.destinations[100:400], full.metadata)
+        assert rebased.offset == 0
+        config = SimulationConfig(checkpoints=6, matching_backend=backend)
+        a, b = (
+            run_simulation(
+                algo_cls(small_fattree, MatchingConfig(b=2, alpha=4), rng=3),
+                trace,
+                config,
+            )
+            for trace in (sliced, rebased)
+        )
+        assert a.n_requests == b.n_requests == 300
+        assert a.total_routing_cost == b.total_routing_cost
+        assert a.total_reconfiguration_cost == b.total_reconfiguration_cost
+        assert a.matched_fraction == b.matched_fraction
+        for field in ("requests", "routing_cost", "reconfiguration_cost", "matched_fraction"):
+            assert np.array_equal(getattr(a.series, field), getattr(b.series, field))
