@@ -87,8 +87,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--repetitions", type=int, default=1, help="repetitions to average")
         p.add_argument("--checkpoints", type=int, default=10, help="checkpoints to record")
         p.add_argument("--solver-backend", default=None,
-                       help="static blossom kernel for SO-BMA: array (default), "
-                            "nx, or numba")
+                       help="static blossom kernel for SO-BMA: array (default) "
+                            "or nx")
         p.add_argument("--rng-mode", default=None,
                        help="randomness kernel for randomized algorithms: "
                             "counter (default; keyed Philox draws) or "

@@ -37,11 +37,10 @@ class MatchingConfig:
     solver_backend:
         Which static blossom kernel SO-BMA's iterated maximum-weight solve
         uses: ``"array"`` (the flat-array Galil kernel, the library
-        default), ``"nx"`` (the original NetworkX path, kept as reference),
-        or ``"numba"`` (the array kernel's compiled slack scan;
-        import-optional — it falls back to ``"array"`` with a one-time
-        warning when numba is missing or masked).  All backends produce
-        identical matchings; ``None`` means the library default.  Only
+        default) or ``"nx"`` (the original NetworkX path, kept as
+        reference); ``"numba"`` is a legacy alias of ``"array"``.  All
+        backends produce identical matchings; ``None`` means the library
+        default.  Only
         algorithms that run a static solve (SO-BMA) read this.
     rng_mode:
         How randomized algorithms (R-BMA's marking pager, the ``uniform``
@@ -129,12 +128,9 @@ class SimulationConfig:
         default array-backed kernel, served through the engine's batched
         replay path), ``"reference"`` (the original set-of-tuples kernel,
         replayed request by request — the pre-optimization code path kept
-        for differential testing and kernel benchmarks), or ``"numba"``
-        (the compiled kernel: the fast kernel plus ``@njit`` batch-scan
-        loops for rbma/bma/hybrid).  ``"numba"`` is import-optional — on
-        hosts without numba (or with ``REPRO_NO_NUMBA`` set) it falls back
-        to ``"fast"`` with a one-time warning, so pinned specs stay
-        runnable everywhere.  The engine rebinds a freshly constructed
+        for differential testing and kernel benchmarks); ``"numba"`` is a
+        legacy alias of ``"fast"``, kept so stored specs still load.  The
+        engine rebinds a freshly constructed
         algorithm onto the requested backend before the first request; all
         backends produce bit-identical results.
     seed:

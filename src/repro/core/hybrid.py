@@ -25,7 +25,6 @@ import numpy as np
 
 from ..config import MatchingConfig
 from ..errors import ConfigurationError, SimulationError
-from ..matching.numba_bmatching import hybrid_scan, lut_diff
 from ..topology import Topology
 from ..types import NodePair, Request
 from .base import OnlineBMatchingAlgorithm
@@ -33,6 +32,25 @@ from .predictive import PredictiveBMA
 from .rbma import RBMA
 
 __all__ = ["HybridBMA"]
+
+
+def _totals(algorithm: OnlineBMatchingAlgorithm) -> tuple:
+    """``(routing, reconfiguration, served, matched)`` counters of an expert."""
+    return (
+        algorithm.total_routing_cost,
+        algorithm.total_reconfiguration_cost,
+        algorithm.requests_served,
+        algorithm.matched_requests,
+    )
+
+
+def _set_totals(algorithm: OnlineBMatchingAlgorithm, totals: tuple) -> None:
+    (
+        algorithm.total_routing_cost,
+        algorithm.total_reconfiguration_cost,
+        algorithm.requests_served,
+        algorithm.matched_requests,
+    ) = totals
 
 
 class HybridBMA(OnlineBMatchingAlgorithm):
@@ -78,7 +96,7 @@ class HybridBMA(OnlineBMatchingAlgorithm):
         # Fresh experts start on the default kernel; keep them on the
         # combiner's backend so reset() after a rebind (where the engine's
         # own rebind is a no-op and _on_matching_rebound never fires) does
-        # not silently drop the experts back to the fast kernel.
+        # not silently drop the experts back to the default kernel.
         self._robust.rebind_matching_backend(self._matching_backend)
         self._predictive.rebind_matching_backend(self._matching_backend)
         self._following: OnlineBMatchingAlgorithm = self._robust
@@ -144,33 +162,37 @@ class HybridBMA(OnlineBMatchingAlgorithm):
         return added, removed
 
     def serve_batch(self, requests) -> None:
-        """Batch driver: experts advance in one tight loop, synced incrementally.
+        """Batch driver: quiet requests advance the experts without serving them.
 
-        The combiner's switch rule compares the experts' cumulative costs
-        after *every* request, so the experts cannot be stepped over whole
-        segments without changing switch timing; instead the driver runs the
-        whole segment in a single loop that skips the combiner's own
-        Request/ServeOutcome wrappers and — the actual hot cost of
-        :meth:`serve` — replaces the per-request full edge-set diff with an
-        incremental sync: while no switch happens, the real matching equals
-        the followed expert's virtual matching, so the expert's own
-        ``ServeOutcome`` already lists exactly the edges the real matching
-        must add and remove.  A full key-set diff runs only on the (rare)
-        switch steps.  Costs, randomness, and raised errors are identical to
+        A request is *quiet* when it provably changes no matching: it is not
+        a robust special request (R-BMA's Theorem 1 counter stays below its
+        threshold), not a predictive reconfiguration step (the period does
+        not elapse), and not a switch step (the followed expert's
+        post-request total cost stays within ``switch_factor * max(other,
+        1.0)``).  A quiet request only bumps the robust pair counter, pays
+        both experts' and the combiner's routing costs in the exact
+        per-request order of :meth:`serve`, and advances the predictive
+        period position, so the driver commits it in local variables.
+        Predictor observations of quiet requests are deferred and replayed
+        through ``observe_batch`` (bit-exact to sequential ``observe``
+        calls by that method's contract) before the next *event* request,
+        which runs through both experts' own ``serve``.  On events without
+        a switch the followed expert's ``ServeOutcome`` lists exactly the
+        edges the real matching must add and remove; on switch steps the
+        real matching is synced by a sorted int-key diff.  No randomness is
+        consumed by quiet requests (robust evictions only happen on special
+        requests), so costs, randomness, and raised errors are identical to
         request-by-request serving.
         """
         matching = self.matching
+        robust = self._robust
+        predictive = self._predictive
         edge_keys = getattr(matching, "edge_keys", None)
+        r_keys = getattr(robust.matching, "edge_keys", None)
+        p_keys = getattr(predictive.matching, "edge_keys", None)
         decoded = self._batch_arrays(requests)
-        if edge_keys is None or decoded is None:
+        if edge_keys is None or r_keys is None or p_keys is None or decoded is None:
             super().serve_batch(requests)
-            return
-        if (
-            getattr(matching, "member_lut", None) is not None
-            and getattr(self._robust.matching, "member_lut", None) is not None
-            and getattr(self._predictive.matching, "member_lut", None) is not None
-        ):
-            self._serve_batch_compiled(decoded)
             return
         n = self.topology.n_racks
         lo, hi, keys_arr, lengths_arr = decoded
@@ -178,9 +200,12 @@ class HybridBMA(OnlineBMatchingAlgorithm):
         lengths = lengths_arr.tolist()
         los = lo.tolist()
         his = hi.tolist()
+        thresholds = robust._batch_thresholds(lengths_arr)
+        # Predictor savings max(l - 1, 0) * size, unit sizes in batch replay.
+        savings = np.maximum(lengths_arr - 1.0, 0.0).tolist()
+        rcounters = robust._counters
+        period = predictive.period
 
-        robust = self._robust
-        predictive = self._predictive
         factor = self.switch_factor
         alpha = self.config.alpha
         b = self.config.b
@@ -188,41 +213,74 @@ class HybridBMA(OnlineBMatchingAlgorithm):
         reconf = self.total_reconfiguration_cost
         served = self.requests_served
         matched = self.matched_requests
+        # Expert state advanced by quiet requests; written back to the
+        # experts before every event and at the end of the segment.
+        r_routing, r_reconf, r_served, r_matched = _totals(robust)
+        p_routing, p_reconf, p_served, p_matched = _totals(predictive)
+        p_since = predictive._since_reconfig
+        follow_robust = self._following is robust
+        unobserved = 0  # first quiet request the predictor has not seen
         try:
-            for key, u, v, length in zip(keys, los, his, lengths):
+            for i, key in enumerate(keys):
+                length = lengths[i]
+                count = rcounters.get(key, 0) + 1
+                if count < thresholds[i] and p_since + 1 < period:
+                    r_hit = key in r_keys
+                    p_hit = key in p_keys
+                    r_next = r_routing + (1.0 if r_hit else length)
+                    p_next = p_routing + (1.0 if p_hit else length)
+                    if follow_robust:
+                        switch = r_next + r_reconf > factor * max(p_next + p_reconf, 1.0)
+                    else:
+                        switch = p_next + p_reconf > factor * max(r_next + r_reconf, 1.0)
+                    if not switch:
+                        rcounters[key] = count
+                        r_routing = r_next
+                        r_served += 1
+                        p_routing = p_next
+                        p_served += 1
+                        p_since += 1
+                        if r_hit:
+                            r_matched += 1
+                        if p_hit:
+                            p_matched += 1
+                        if key in edge_keys:
+                            routing += 1.0
+                            matched += 1
+                        else:
+                            routing += length
+                        served += 1
+                        continue
+
+                # Event request: hand the experts their quiet-run state, then
+                # serve it through the full per-request body.
+                self._commit_experts(
+                    (r_routing, r_reconf, r_served, r_matched),
+                    (p_routing, p_reconf, p_served, p_matched),
+                    p_since,
+                    zip(los[unobserved:i], his[unobserved:i]),
+                    savings[unobserved:i],
+                )
+                unobserved = i + 1  # the event observes inside serve()
+
+                u = los[i]
                 hit = key in edge_keys
-                request = Request(u, v)
+                request = Request(u, his[i])
                 robust_outcome = robust.serve(request)
                 predictive_outcome = predictive.serve(request)
-
                 following = self._following
                 other = predictive if following is robust else robust
                 before = matching.additions + matching.removals
                 if following.total_cost > factor * max(other.total_cost, 1.0):
                     self._following = other
                     self._switches += 1
-                    # Full edge-set diff on switch steps.  On the numba
-                    # backend both matchings expose membership LUTs and the
-                    # diff runs compiled (ascending key order == sorted
-                    # canonical pairs); otherwise diff the int key sets.
-                    member = getattr(matching, "member_lut", None)
-                    target_member = getattr(other.matching, "member_lut", None)
-                    if member is not None and target_member is not None:
-                        removed_keys, added_keys = lut_diff(member, target_member)
-                        for k in removed_keys:
-                            matching.remove(k // n, k % n)
-                        for k in added_keys:
-                            matching.add(k // n, k % n)
-                    else:
-                        target_keys = getattr(other.matching, "edge_keys", None)
-                        if target_keys is None:
-                            target_keys = {
-                                a * n + c for a, c in other.matching.edges
-                            }
-                        for k in sorted(edge_keys - target_keys):
-                            matching.remove(k // n, k % n)
-                        for k in sorted(target_keys - edge_keys):
-                            matching.add(k // n, k % n)
+                    # Full edge-set diff on switch steps (sorted int keys
+                    # order exactly like sorted canonical pairs).
+                    target_keys = other.matching.edge_keys
+                    for k in sorted(edge_keys - target_keys):
+                        matching.remove(k // n, k % n)
+                    for k in sorted(target_keys - edge_keys):
+                        matching.add(k // n, k % n)
                 else:
                     outcome = (
                         robust_outcome if following is robust else predictive_outcome
@@ -242,143 +300,36 @@ class HybridBMA(OnlineBMatchingAlgorithm):
                 served += 1
                 if hit:
                     matched += 1
+
+                r_routing, r_reconf, r_served, r_matched = _totals(robust)
+                p_routing, p_reconf, p_served, p_matched = _totals(predictive)
+                p_since = predictive._since_reconfig
+                follow_robust = self._following is robust
+
+            self._commit_experts(
+                (r_routing, r_reconf, r_served, r_matched),
+                (p_routing, p_reconf, p_served, p_matched),
+                p_since,
+                zip(los[unobserved:], his[unobserved:]),
+                savings[unobserved:],
+            )
         finally:
             self.total_routing_cost = routing
             self.total_reconfiguration_cost = reconf
             self.requests_served = served
             self.matched_requests = matched
 
-    def _serve_batch_compiled(self, decoded) -> None:
-        """Numba-backend segment driver around :func:`hybrid_scan`.
+    def _commit_experts(self, r_totals, p_totals, p_since, pairs, savings) -> None:
+        """Hand the experts the state their quiet requests accumulated.
 
-        The kernel advances both virtual experts through requests that
-        provably change no matching — robust non-special (dense counter
-        bump), predictive non-reconfiguring (period position bump), no
-        switch — accumulating all three cost streams in the pure loop's
-        exact per-request order.  *Event* requests (special / reconfigure /
-        switch) return to Python and run the pure loop's full body through
-        the experts' own ``serve``, after the predictor has been fed the
-        kernel-committed observations via ``observe_batch`` (bit-exact to
-        sequential ``observe`` calls by that method's contract).  No draws
-        happen inside the kernel: robust eviction randomness only fires on
-        special requests, which are always handled in Python.
+        ``*_totals`` are ``(routing, reconfiguration, served, matched)``;
+        ``pairs``/``savings`` are the quiet requests the predictor has not
+        observed yet, replayed in order.
         """
-        matching = self.matching
-        robust = self._robust
-        predictive = self._predictive
-        predictor = predictive.predictor
-        n = self.topology.n_racks
-        lo, hi, keys_arr, lengths_arr = decoded
-        keys = np.ascontiguousarray(keys_arr, dtype=np.int64)
-        lengths = np.ascontiguousarray(lengths_arr, dtype=np.float64)
-        # Robust's Theorem 1 thresholds, exactly as RBMA computes them.
-        rthresh = np.maximum(
-            1, np.ceil(self.config.alpha / np.maximum(lengths, 1.0)).astype(np.int64)
-        )
-        if robust._counters_arr is None:
-            robust._configure_counter_store()
-        rcounters = robust._counters_arr
-        rmember = robust.matching.member_lut
-        pmember = predictive.matching.member_lut
-        member = matching.member_lut
-        edge_keys = matching.edge_keys
-        keys_list = keys.tolist()
-        lengths_list = lengths.tolist()
-        los = lo.tolist()
-        his = hi.tolist()
-        # Predictor savings max(l - 1, 0) * size, unit sizes in batch replay.
-        savings = np.maximum(lengths - 1.0, 0.0).tolist()
-
-        factor = self.switch_factor
-        period = predictive.period
-        alpha = self.config.alpha
-        b = self.config.b
-        routing = self.total_routing_cost
-        reconf = self.total_reconfiguration_cost
-        served = self.requests_served
-        matched = self.matched_requests
-        n_requests = len(keys_list)
-        i = 0
-        flushed = 0
-        try:
-            while i < n_requests:
-                (
-                    i, r_routing, r_served, r_matched,
-                    p_routing, p_served, p_matched, p_since,
-                    routing, served, matched,
-                ) = hybrid_scan(
-                    keys, lengths, rthresh, rcounters, rmember, pmember, member,
-                    1 if self._following is robust else 0,
-                    factor, period, predictive._since_reconfig,
-                    robust.total_routing_cost, robust.total_reconfiguration_cost,
-                    robust.requests_served, robust.matched_requests,
-                    predictive.total_routing_cost, predictive.total_reconfiguration_cost,
-                    predictive.requests_served, predictive.matched_requests,
-                    routing, served, matched, i,
-                )
-                # Commit the experts' kernel-advanced state before anything
-                # can observe it (the event body calls their serve()).
-                robust.total_routing_cost = float(r_routing)
-                robust.requests_served = int(r_served)
-                robust.matched_requests = int(r_matched)
-                predictive.total_routing_cost = float(p_routing)
-                predictive.requests_served = int(p_served)
-                predictive.matched_requests = int(p_matched)
-                predictive._since_reconfig = int(p_since)
-                if i > flushed:
-                    predictor.observe_batch(
-                        [(los[j], his[j]) for j in range(flushed, i)],
-                        savings[flushed:i],
-                    )
-                flushed = i + 1  # the event request observes inside serve()
-                if i >= n_requests:
-                    break
-                # Event request: the pure loop's full per-request body.
-                key = keys_list[i]
-                u = los[i]
-                v = his[i]
-                hit = key in edge_keys
-                request = Request(u, v)
-                robust_outcome = robust.serve(request)
-                predictive_outcome = predictive.serve(request)
-                following = self._following
-                other = predictive if following is robust else robust
-                before = matching.additions + matching.removals
-                if following.total_cost > factor * max(other.total_cost, 1.0):
-                    self._following = other
-                    self._switches += 1
-                    removed_keys, added_keys = lut_diff(
-                        member, other.matching.member_lut
-                    )
-                    for k in removed_keys:
-                        matching.remove(k // n, k % n)
-                    for k in added_keys:
-                        matching.add(k // n, k % n)
-                else:
-                    outcome = (
-                        robust_outcome if following is robust else predictive_outcome
-                    )
-                    for edge in outcome.edges_removed:
-                        matching.remove(*edge)
-                    for edge in outcome.edges_added:
-                        matching.add(*edge)
-                n_changes = matching.additions + matching.removals - before
-                if n_changes and matching.degree(u) > b:
-                    raise SimulationError(
-                        f"{self.name}: degree bound violated at node {u}"
-                    )
-                routing += 1.0 if hit else lengths_list[i]
-                if n_changes:
-                    reconf += n_changes * alpha
-                served += 1
-                if hit:
-                    matched += 1
-                i += 1
-        finally:
-            self.total_routing_cost = float(routing)
-            self.total_reconfiguration_cost = float(reconf)
-            self.requests_served = int(served)
-            self.matched_requests = int(matched)
+        _set_totals(self._robust, r_totals)
+        _set_totals(self._predictive, p_totals)
+        self._predictive._since_reconfig = p_since
+        self._predictive.predictor.observe_batch(pairs, savings)
 
     def _reset_policy_state(self) -> None:
         self._make_experts()

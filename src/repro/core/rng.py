@@ -2,11 +2,9 @@
 
 The paper's randomized marking pager needs one uniform bounded draw per
 eviction.  The legacy implementation consumes a *stateful*
-:class:`numpy.random.Generator`, which has two costs: replay code must
-carry generator state across chunk boundaries (the reason streamed replay
-of randomized algorithms historically needed fork bookkeeping), and no
-draw can ever move inside a compiled batch kernel (the kernel cannot call
-back into Python to advance the generator).
+:class:`numpy.random.Generator`, so replay code must carry generator state
+across chunk boundaries (the reason streamed replay of randomized
+algorithms historically needed fork bookkeeping).
 
 :class:`CounterRNG` removes the state.  Every draw is a pure function of
 four integer coordinates::
@@ -29,9 +27,8 @@ Two bit-identical implementations are provided:
   draw coordinates before each draw, so per-draw cost stays at C speed.
 * :func:`counter_bounded_draw` — a pure-integer reimplementation of the
   whole pipeline (Philox4x64-10 rounds, uint32 half-buffering, Lemire
-  bounded rejection) written in the uint64-only style that compiles under
-  ``@njit``, so future kernels can draw *inside* compiled code.  It is
-  pinned bit-identical to the NumPy path by test
+  bounded rejection), the independent oracle for the production path.  It
+  is pinned bit-identical to the NumPy path by test
   (``tests/test_rng_counter.py``), including the ``n == 1`` (consumes
   nothing), ``n == 2**32`` (raw uint32) and ``n == 2**64`` (raw uint64)
   edge cases of NumPy's bounded-integer dispatch.
@@ -53,7 +50,6 @@ from typing import Optional, Tuple
 import numpy as np
 
 from ..experiments.registry import Registry
-from ..matching.numba_bmatching import NUMBA_AVAILABLE, njit
 
 __all__ = [
     "RNG_MODES",
@@ -102,13 +98,11 @@ def _combine_streams(parent: int, child: int) -> int:
 
 
 # --------------------------------------------------------------------------- #
-# Pure-integer Philox + Lemire draw (``@njit``-compatible uint64 style)
+# Pure-integer Philox + Lemire draw (the test oracle)
 # --------------------------------------------------------------------------- #
-# Everything below operates exclusively on uint64 values (inputs are cast
-# once at the public entry point) because numba's type unification of mixed
-# signed/unsigned 64-bit arithmetic would otherwise promote to float64.
-# When numba is absent the same code runs on numpy scalar arithmetic, whose
-# intentional wraparound is silenced via ``np.errstate`` in the wrapper.
+# Everything below operates exclusively on uint64 numpy scalars (inputs are
+# cast once at the public entry point); the intentional wraparound of that
+# arithmetic is silenced via ``np.errstate`` in the wrapper.
 
 _U64_0 = np.uint64(0)
 _U64_1 = np.uint64(1)
@@ -122,8 +116,7 @@ _PHILOX_W0 = np.uint64(0x9E3779B97F4A7C15)
 _PHILOX_W1 = np.uint64(0xBB67AE8584CAA73B)
 
 
-@njit(cache=False)
-def _mulhilo64(a, b):  # pragma: no cover - exercised via counter_bounded_draw
+def _mulhilo64(a, b):
     """128-bit product of two uint64s as ``(high, low)`` uint64 words."""
     alo = a & _U64_M32
     ahi = a >> _U64_32
@@ -139,8 +132,7 @@ def _mulhilo64(a, b):  # pragma: no cover - exercised via counter_bounded_draw
     return hi, lo
 
 
-@njit(cache=False)
-def _philox_block(c0, c1, c2, c3, k0, k1):  # pragma: no cover - via public entry
+def _philox_block(c0, c1, c2, c3, k0, k1):
     """One Philox4x64-10 block: 10 rounds, key bumped between rounds."""
     x0, x1, x2, x3 = c0, c1, c2, c3
     for r in range(10):
@@ -156,8 +148,7 @@ def _philox_block(c0, c1, c2, c3, k0, k1):  # pragma: no cover - via public entr
     return x0, x1, x2, x3
 
 
-@njit(cache=False)
-def _next_u64(blk, widx, w0, w1, w2, w3, c1, c2, k0, k1):  # pragma: no cover
+def _next_u64(blk, widx, w0, w1, w2, w3, c1, c2, k0, k1):
     """Next uint64 of the draw's Philox stream (regenerating blocks as needed).
 
     NumPy's Philox state pre-increments the counter word ``c0`` before
@@ -178,8 +169,7 @@ def _next_u64(blk, widx, w0, w1, w2, w3, c1, c2, k0, k1):  # pragma: no cover
     return out, blk, widx + 1, w0, w1, w2, w3
 
 
-@njit(cache=False)
-def _counter_draw(k0, k1, c1, c2, rng):  # pragma: no cover - via public entry
+def _counter_draw(k0, k1, c1, c2, rng):
     """Bounded draw in ``[0, rng]`` (inclusive), NumPy-dispatch-exact.
 
     Replicates ``Generator.integers`` over a fresh Philox stream at counter
@@ -248,11 +238,8 @@ def counter_bounded_draw(k0: int, k1: int, index: int, counter: int, n: int) -> 
     """Pure-integer draw in ``[0, n)`` for key ``(k0, k1)`` at the coordinates.
 
     Bit-identical to :meth:`CounterRNG.integers` on the same key — certified
-    by the pinned sweep in ``tests/test_rng_counter.py``.  The compiled body
-    (:func:`_counter_draw`) is ``@njit``-compatible, so kernels that need
-    in-kernel randomness can call it directly on uint64 operands; this
-    wrapper only casts and, when running uncompiled, silences numpy's
-    intentional uint64 wraparound warnings.
+    by the pinned sweep in ``tests/test_rng_counter.py``.  This wrapper only
+    casts to uint64 and silences numpy's intentional wraparound warnings.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
@@ -263,8 +250,6 @@ def counter_bounded_draw(k0: int, k1: int, index: int, counter: int, n: int) -> 
         np.uint64(index & _MASK64),
         np.uint64((n - 1) & _MASK64),
     )
-    if NUMBA_AVAILABLE:  # pragma: no cover - compiled hosts only
-        return int(_counter_draw(*args))
     with np.errstate(over="ignore"):
         return int(_counter_draw(*args))
 
@@ -373,8 +358,7 @@ def resolve_rng_mode(mode: Optional[str] = None) -> str:
     (the knob behind the *stateful-rng* CI tier) and then
     :data:`DEFAULT_RNG_MODE`.  Unknown names — from either source — raise
     :class:`~repro.errors.ConfigurationError` with suggestions.  The
-    environment is re-read on every call, mirroring
-    :func:`repro.matching.numba_bmatching.numba_backend_active`.
+    environment is re-read on every call.
     """
     if mode is None:
         mode = os.environ.get("REPRO_RNG_MODE", "").strip() or DEFAULT_RNG_MODE

@@ -48,8 +48,8 @@ class StaticOfflineBMA(OnlineBMatchingAlgorithm):
         :data:`repro.matching.SOLVER_BACKENDS`); all kernels produce
         identical matchings.  After :meth:`fit`, :attr:`solver_provenance`
         records the requested backend and the kernel that actually ran
-        (they differ exactly when the numba solver fell back to the array
-        kernel), and the simulation engine copies that record into
+        (they differ exactly when the config named the legacy ``"numba"``
+        alias, which runs the array kernel), and the simulation engine copies that record into
         ``RunResult.extra``.
     """
 

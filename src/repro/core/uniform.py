@@ -31,7 +31,6 @@ import numpy as np
 from ..config import MatchingConfig
 from ..errors import SimulationError
 from ..matching import BMatching
-from ..matching.numba_bmatching import paging_steady_scan
 from ..paging.base import PagingAlgorithm
 from ..paging.registry import PagingFactory, make_paging_factory
 from ..topology import Topology
@@ -43,7 +42,7 @@ __all__ = ["PerNodePagingMatcher", "UniformBMatching"]
 
 #: Paging policies whose cache *hits* are observationally pure (requesting a
 #: cached-and-marked page changes nothing a later request can see), which is
-#: what lets the steady-state scan kernel skip them wholesale.  Marking's hit
+#: what lets the batched loop skip steady requests wholesale.  Marking's hit
 #: re-marks an already-marked page; random eviction's hit does nothing.  LRU/
 #: LFU-style policies mutate recency/frequency state on hits and are not
 #: eligible.
@@ -219,22 +218,20 @@ class UniformBMatching(OnlineBMatchingAlgorithm):
         return self._matcher.process(pair)
 
     def serve_batch(self, requests) -> None:
-        """Batched replay: every request drives paging in one tight int loop.
+        """Batched replay: steady requests skip the pagers entirely.
 
-        Unlike R-BMA there is no Theorem 1 filter — each request reaches the
-        per-node pagers — so the win over :meth:`serve` is skipping the
-        Request/ServeOutcome wrappers and testing matching membership on
-        int-encoded pairs.  On the ``"numba"`` backend the matcher's
-        steady-pair LUT additionally lets an ``@njit`` scan
-        (:func:`~repro.matching.numba_bmatching.paging_steady_scan`) serve
-        runs of requests whose pair is certified steady — cached and marked
-        at both endpoints, matched — as pure cost updates, entering Python
-        only at requests that can change paging or matching state.  Steady
-        requests consume no randomness in either rng mode, so the scan is
-        exact for both; only the per-pager hit counters (which no consumer
-        reads through the matcher) are skipped.  Cost accounting, randomness
-        consumption, and raised errors match request-by-request serving
-        exactly on every backend.
+        There is no Theorem 1 filter — every request could reach the
+        per-node pagers — but a request whose pair the matcher's
+        steady-pair LUT certifies *steady* (cached and marked at both
+        endpoints, matched and unmarked) would change no paging or matching
+        state and draw no randomness in either rng mode, so it is served as
+        the pure cost update ``routing += 1.0; served += 1; matched += 1``.
+        Every other request runs :meth:`PerNodePagingMatcher.process`.  Only
+        the per-pager hit counters of steady requests are skipped (no
+        consumer reads them through the matcher).  Non-hit-pure policies
+        such as ``"lru"`` keep no LUT and process every request.  Cost
+        accounting, randomness consumption, and raised errors match
+        request-by-request serving exactly.
         """
         matching = self.matching
         edge_keys = getattr(matching, "edge_keys", None)
@@ -242,16 +239,11 @@ class UniformBMatching(OnlineBMatchingAlgorithm):
         if edge_keys is None or decoded is None:
             super().serve_batch(requests)
             return
-        if (
-            getattr(matching, "member_lut", None) is not None
-            and self._matcher.steady_lut is not None
-        ):
-            self._serve_batch_compiled(decoded)
-            return
         n = self.topology.n_racks
         _lo, _hi, keys_arr, lengths_arr = decoded
         keys = keys_arr.tolist()
         lengths = lengths_arr.tolist()
+        steady = self._matcher.steady_lut
 
         process = self._matcher.process
         alpha = self.config.alpha
@@ -262,6 +254,11 @@ class UniformBMatching(OnlineBMatchingAlgorithm):
         matched = self.matched_requests
         try:
             for key, length in zip(keys, lengths):
+                if steady is not None and steady[key]:
+                    routing += 1.0
+                    served += 1
+                    matched += 1
+                    continue
                 hit = key in edge_keys
                 before = matching.additions + matching.removals
                 pair = (key // n, key % n)
@@ -282,62 +279,6 @@ class UniformBMatching(OnlineBMatchingAlgorithm):
             self.total_reconfiguration_cost = reconf
             self.requests_served = served
             self.matched_requests = matched
-
-    def _serve_batch_compiled(self, decoded) -> None:
-        """The batched loop with steady runs served by the ``@njit`` scan.
-
-        Bit-identical to the pure loop: a steady request's step is exactly
-        ``routing += 1.0; served += 1; matched += 1`` (it is a matched hit
-        with no reconfiguration and no draws), and every request that could
-        change any state reaches :meth:`PerNodePagingMatcher.process`
-        through the same Python body the pure loop uses.
-        """
-        matching = self.matching
-        edge_keys = matching.edge_keys
-        steady = self._matcher.steady_lut
-        n = self.topology.n_racks
-        _lo, _hi, keys_arr, lengths_arr = decoded
-        n_requests = keys_arr.shape[0]
-        keys = keys_arr.tolist()
-        lengths = lengths_arr.tolist()
-
-        process = self._matcher.process
-        alpha = self.config.alpha
-        b = self.config.b
-        routing = self.total_routing_cost
-        reconf = self.total_reconfiguration_cost
-        served = self.requests_served
-        matched = self.matched_requests
-        i = 0
-        try:
-            while i < n_requests:
-                i, routing, served, matched = paging_steady_scan(
-                    keys_arr, steady, i, routing, served, matched
-                )
-                if i >= n_requests:
-                    break
-                key = keys[i]
-                hit = key in edge_keys
-                before = matching.additions + matching.removals
-                pair = (key // n, key % n)
-                process(pair)
-                n_changes = matching.additions + matching.removals - before
-                if n_changes and matching.degree(pair[0]) > b:
-                    raise SimulationError(
-                        f"{self.name}: degree bound violated at node {pair[0]}"
-                    )
-                routing += 1.0 if hit else lengths[i]
-                if n_changes:
-                    reconf += n_changes * alpha
-                served += 1
-                if hit:
-                    matched += 1
-                i += 1
-        finally:
-            self.total_routing_cost = float(routing)
-            self.total_reconfiguration_cost = reconf
-            self.requests_served = int(served)
-            self.matched_requests = int(matched)
 
     def _reset_policy_state(self) -> None:
         self._matcher = self._make_matcher()

@@ -1,447 +1,18 @@
-"""Compiled (numba) b-matching kernel and batch-scan kernels.
+"""Compatibility constant for the retired compiled-kernel tier.
 
-This module is **import-optional**: it imports cleanly whether or not numba
-is installed.  When numba is present the hot batch loops below are
-``@njit``-compiled on first use; when it is absent the same functions run as
-plain Python over numpy arrays — bit-identical, merely slow — which is how
-the differential harness certifies the kernel logic on hosts without numba.
-
-Three module-level switches govern whether the ``"numba"`` backend name
-resolves to :class:`NumbaBMatching` (see :func:`numba_backend_active`):
-
-``REPRO_NO_NUMBA``
-    When set to anything but ``""``/``"0"``, the backend is masked even if
-    numba is installed.  This is the knob behind the *nonumba* CI tier
-    (``scripts/test_nonumba.sh``): it guarantees the pure-Python fallback
-    path stays exercised on hosts where numba installs fine.
-``numba availability``
-    Detected once at import time (:data:`NUMBA_AVAILABLE`).
-``REPRO_NUMBA_PUREPY``
-    When set (and numba is absent), the backend is active anyway and the
-    scan kernels run uncompiled.  Tests use this to drive the full
-    differential + golden matrix over the numba code path on numba-less
-    containers; it is never enabled implicitly.
-
-When the backend is *inactive*, :func:`repro.matching.make_matching` falls
-back to the pure-Python :class:`~repro.matching.fast_bmatching.FastBMatching`
-kernel with a one-time warning, so experiment specs that pin
-``matching_backend="numba"`` stay runnable everywhere.
-
-Design
-------
-:class:`NumbaBMatching` subclasses :class:`FastBMatching` — every operation
-keeps the reference semantics (same return values, same exception types and
-messages) by construction — and additionally maintains a dense uint8
-*membership LUT* indexed by the int-encoded canonical pair ``u * n + v``.
-That LUT, together with dense per-pair counter arrays owned by the
-algorithms, is exactly what the ``@njit`` scan kernels below operate on:
-
-* :func:`rbma_scan` — R-BMA's Theorem 1 filter loop: advances through a
-  trace segment, updating per-pair request counters and accumulating
-  routing cost, until it reaches the next *special* request (which must
-  touch the Python paging machinery and its RNG, so it returns to the
-  driver).
-* :func:`bma_scan` — BMA's demand-graph accumulation loop: matched-edge
-  hits bump usefulness, misses accumulate fixed-network cost, and the scan
-  returns at the next *saturation* event (matching mutation, handled by the
-  driver with :func:`bma_select_victim` / :func:`bma_reset_counters`).
-* :func:`lut_diff` — the full edge-set diff HybridBMA needs on (rare)
-  expert-switch steps, over two membership LUTs, in ascending (= canonical
-  sorted) key order.
-* :func:`paging_steady_scan` — the uniform algorithm's steady-state loop:
-  serves runs of requests whose pair is certified *steady* by the matcher's
-  LUT (cached and marked at both endpoints, matched — a pure cost update
-  that consumes no randomness in either rng mode), returning to Python at
-  the first request that can change paging or matching state.
-* :func:`hybrid_scan` — HybridBMA's expert-stepping loop: advances both
-  virtual experts through requests that provably change no matching
-  (robust non-special, predictive non-reconfiguring, no switch), returning
-  to Python at the first *event* request.
-
-The drivers in :mod:`repro.core` call these only when the algorithm's
-matching actually is a :class:`NumbaBMatching` (detected via
-:attr:`NumbaBMatching.member_lut`), so the ``"fast"`` and ``"reference"``
-backends are untouched.  RNG *state* never crosses into compiled code:
-every eviction draw stays in Python (stateful mode) or is a pure function
-of its draw index (counter mode, :mod:`repro.core.rng`), and the scans only
-ever cover requests that consume no draws — which is what makes the
-backend bit-identical to the other two by design and by test.
+The library has one batched loop per algorithm and no compiled backend; a
+spec naming ``"numba"`` for either backend resolves to ``"fast"`` /
+``"array"`` (see :data:`repro.matching.MATCHING_BACKENDS` and
+:data:`repro.matching.SOLVER_BACKENDS`).  This module survives only because
+``perfbench/panel.py`` imports :func:`numba_backend_active` to stamp its
+reports.
 """
 
 from __future__ import annotations
 
-import os
-
-import numpy as np
-
-from .fast_bmatching import FastBMatching
-
-__all__ = [
-    "NUMBA_AVAILABLE",
-    "NumbaBMatching",
-    "numba_backend_active",
-    "bma_reset_counters",
-    "bma_scan",
-    "bma_select_victim",
-    "hybrid_scan",
-    "lut_diff",
-    "paging_steady_scan",
-    "rbma_scan",
-    "warmup_kernels",
-]
-
-try:  # pragma: no cover - exercised only where numba is installed
-    from numba import njit
-
-    NUMBA_AVAILABLE = True
-except ImportError:  # pragma: no cover - the default in slim containers
-    NUMBA_AVAILABLE = False
-
-    def njit(*args, **kwargs):
-        """No-numba stand-in: ``@njit(...)`` becomes the identity decorator."""
-        if len(args) == 1 and callable(args[0]) and not kwargs:
-            return args[0]
-
-        def decorate(func):
-            return func
-
-        return decorate
-
-
-def _env_flag(name: str) -> bool:
-    """Whether an environment flag is set to something truthy."""
-    return os.environ.get(name, "").strip() not in ("", "0")
+__all__ = ["numba_backend_active"]
 
 
 def numba_backend_active() -> bool:
-    """Whether ``matching_backend="numba"`` resolves to the compiled kernel.
-
-    Precedence: ``REPRO_NO_NUMBA`` masks the backend unconditionally (the
-    *nonumba* CI tier); otherwise numba availability enables it; otherwise
-    ``REPRO_NUMBA_PUREPY`` enables the uncompiled-but-identical test mode.
-    Environment flags are re-read on every call so tests and CI tiers can
-    flip them without reimporting.
-    """
-    if _env_flag("REPRO_NO_NUMBA"):
-        return False
-    if NUMBA_AVAILABLE:
-        return True
-    return _env_flag("REPRO_NUMBA_PUREPY")
-
-
-class NumbaBMatching(FastBMatching):
-    """Dynamic b-matching kernel backing the compiled batch scans.
-
-    Observationally identical to :class:`FastBMatching` (and therefore to
-    the reference :class:`~repro.matching.bmatching.BMatching`) — it *is* a
-    ``FastBMatching`` for every operation — plus a dense membership LUT
-    (:attr:`member_lut`) kept in sync by ``add``/``remove`` so the ``@njit``
-    scan kernels can test edge membership with one array load instead of a
-    Python set lookup.
-    """
-
-    #: Name under which this kernel is registered in ``MATCHING_BACKENDS``.
-    backend_name = "numba"
-
-    def __init__(self, n_nodes: int, b: int):
-        super().__init__(n_nodes, b)
-        self._member = np.zeros(self._n * self._n, dtype=np.uint8)
-
-    @property
-    def member_lut(self) -> np.ndarray:
-        """Dense uint8 membership LUT over int-encoded pairs (do not mutate)."""
-        return self._member
-
-    def add(self, u: int, v: int):
-        pair = super().add(u, v)
-        self._member[pair[0] * self._n + pair[1]] = 1
-        return pair
-
-    def remove(self, u: int, v: int):
-        pair = super().remove(u, v)
-        self._member[pair[0] * self._n + pair[1]] = 0
-        return pair
-
-
-# --------------------------------------------------------------------------- #
-# Batch-scan kernels
-# --------------------------------------------------------------------------- #
-# All kernels are pure functions of int64/float64/uint8 arrays and scalars:
-# no Python objects, no randomness, no allocation in the hot loop.  Float
-# accumulation happens in the same per-request order as the pure-Python
-# loops, so the sums are bit-identical IEEE doubles.
-
-
-@njit(cache=False)
-def rbma_scan(keys, lengths, thresholds, member, counters, start, routing, served, matched):
-    """Advance R-BMA through filtered requests; stop at the next special one.
-
-    Returns ``(index, routing, served, matched)``.  ``index`` is either the
-    position of the next *special* request — whose counter has already been
-    reset, exactly as the pure-Python loop does before forwarding the pair
-    to the uniform-case machinery — or ``len(keys)`` when the segment ends.
-    """
-    n_requests = keys.shape[0]
-    i = start
-    while i < n_requests:
-        key = keys[i]
-        count = counters[key] + 1
-        if count >= thresholds[i]:
-            counters[key] = 0
-            break
-        counters[key] = count
-        if member[key]:
-            routing += 1.0
-            matched += 1
-        else:
-            routing += lengths[i]
-        served += 1
-        i += 1
-    return i, routing, served, matched
-
-
-@njit(cache=False)
-def bma_scan(keys, lengths, member, counter, usefulness, exists, alpha, start, routing, served, matched):
-    """Advance BMA until the next saturation event (``C_e`` reaching alpha).
-
-    Matched-edge hits bump the edge's usefulness and pay routing cost 1;
-    misses accumulate the fixed-network length into the pair's counter.
-    Returns ``(index, routing, served, matched)`` with ``index`` the
-    position of the saturating request (its counter already updated, its
-    routing cost *not* yet paid — the driver accounts for the event), or
-    ``len(keys)`` when the segment ends without an event.
-    """
-    n_requests = keys.shape[0]
-    i = start
-    while i < n_requests:
-        key = keys[i]
-        if member[key]:
-            usefulness[key] += 1
-            routing += 1.0
-            served += 1
-            matched += 1
-        else:
-            value = counter[key] + lengths[i]
-            counter[key] = value
-            exists[key] = 1
-            if value >= alpha:
-                break
-            routing += lengths[i]
-            served += 1
-        i += 1
-    return i, routing, served, matched
-
-
-@njit(cache=False)
-def bma_select_victim(endpoint, n, member, usefulness, inserted):
-    """Matched edge at ``endpoint`` with least usefulness (ties: oldest).
-
-    The (usefulness, insertion-clock) key is unique among matched edges —
-    the clock is a strictly increasing counter — so the scan order cannot
-    influence the result and the dense row scan selects exactly the victim
-    the reference NetworkX adjacency walk selects.  Returns the victim's
-    other endpoint, or -1 when no incident matched edge exists.
-    """
-    best_v = -1
-    best_use = 0
-    best_ins = 0
-    for v in range(n):
-        if v == endpoint:
-            continue
-        if endpoint < v:
-            key = endpoint * n + v
-        else:
-            key = v * n + endpoint
-        if member[key]:
-            use = usefulness[key]
-            ins = inserted[key]
-            if best_v < 0 or use < best_use or (use == best_use and ins < best_ins):
-                best_v = v
-                best_use = use
-                best_ins = ins
-    return best_v
-
-
-@njit(cache=False)
-def bma_reset_counters(endpoint, n, member, counter):
-    """Zero the demand counters of every unmatched pair incident to ``endpoint``.
-
-    Zeroing pairs the demand graph never saw is a no-op (their counters are
-    already 0.0), so the dense sweep is equivalent to the reference walk
-    over existing demand edges.
-    """
-    for v in range(n):
-        if v == endpoint:
-            continue
-        if endpoint < v:
-            key = endpoint * n + v
-        else:
-            key = v * n + endpoint
-        if not member[key]:
-            counter[key] = 0.0
-
-
-@njit(cache=False)
-def lut_diff(current, target):
-    """Edge-set diff between two membership LUTs, in ascending key order.
-
-    Returns ``(removed_keys, added_keys)``: the int-encoded pairs present
-    only in ``current`` and only in ``target`` respectively.  Ascending key
-    order equals sorted canonical-pair order, matching the pure-Python
-    ``sorted(set - set)`` diff exactly.
-    """
-    size = current.shape[0]
-    n_removed = 0
-    n_added = 0
-    for key in range(size):
-        if current[key] and not target[key]:
-            n_removed += 1
-        elif target[key] and not current[key]:
-            n_added += 1
-    removed = np.empty(n_removed, dtype=np.int64)
-    added = np.empty(n_added, dtype=np.int64)
-    i_removed = 0
-    i_added = 0
-    for key in range(size):
-        if current[key] and not target[key]:
-            removed[i_removed] = key
-            i_removed += 1
-        elif target[key] and not current[key]:
-            added[i_added] = key
-            i_added += 1
-    return removed, added
-
-
-@njit(cache=False)
-def paging_steady_scan(keys, steady, start, routing, served, matched):
-    """Advance the uniform algorithm through *steady* requests.
-
-    ``steady[key] == 1`` certifies (see
-    :class:`~repro.core.uniform.PerNodePagingMatcher`) that the pair is
-    cached and marked at both endpoints' pagers and is a matching edge, so
-    serving it is exactly ``routing += 1.0; served += 1; matched += 1`` —
-    a matched hit with no evictions, no reconfiguration, and no draws.
-    Returns ``(index, routing, served, matched)`` with ``index`` the first
-    non-steady request (handled by the Python driver through the full
-    paging machinery) or ``len(keys)`` when the segment ends.
-    """
-    n_requests = keys.shape[0]
-    i = start
-    while i < n_requests:
-        if steady[keys[i]] == 0:
-            break
-        routing += 1.0
-        served += 1
-        matched += 1
-        i += 1
-    return i, routing, served, matched
-
-
-@njit(cache=False)
-def hybrid_scan(
-    keys, lengths, rthresh, rcounters, rmember, pmember, member,
-    follow_robust, factor, period, p_since,
-    r_routing, r_reconf, r_served, r_matched,
-    p_routing, p_reconf, p_served, p_matched,
-    routing, served, matched, start,
-):
-    """Advance HybridBMA's experts until the next *event* request.
-
-    A request is an event — and is left entirely to the Python driver —
-    when it is a robust special request (Theorem 1 counter about to reach
-    its threshold), a predictive reconfiguration step (period about to
-    elapse), or a switch step (the followed expert's post-request total
-    cost would exceed ``factor * max(other, 1.0)``).  Every other request
-    changes no matching in any of the three algorithms, so the kernel can
-    commit it wholesale: bump the robust pair counter, pay both experts'
-    and the combiner's routing costs in the exact per-request order of the
-    pure loop, and advance the predictive period position.  (Predictor
-    *observations* for committed requests are replayed by the driver via
-    ``observe_batch``, which is bit-exact by contract, before the event's
-    own serve.)
-
-    Returns ``(index, r_routing, r_served, r_matched, p_routing, p_served,
-    p_matched, p_since, routing, served, matched)`` with ``index`` the
-    event position or ``len(keys)``.
-    """
-    n_requests = keys.shape[0]
-    i = start
-    while i < n_requests:
-        key = keys[i]
-        length = lengths[i]
-        if rcounters[key] + 1 >= rthresh[i]:
-            break
-        if p_since + 1 >= period:
-            break
-        if rmember[key]:
-            r_step = 1.0
-        else:
-            r_step = length
-        if pmember[key]:
-            p_step = 1.0
-        else:
-            p_step = length
-        if follow_robust == 1:
-            f_total = r_routing + r_step + r_reconf
-            o_total = p_routing + p_step + p_reconf
-        else:
-            f_total = p_routing + p_step + p_reconf
-            o_total = r_routing + r_step + r_reconf
-        if o_total < 1.0:
-            o_total = 1.0
-        if f_total > factor * o_total:
-            break
-        rcounters[key] = rcounters[key] + 1
-        r_routing = r_routing + r_step
-        r_served += 1
-        if rmember[key]:
-            r_matched += 1
-        p_routing = p_routing + p_step
-        p_served += 1
-        if pmember[key]:
-            p_matched += 1
-        p_since += 1
-        if member[key]:
-            routing = routing + 1.0
-            matched += 1
-        else:
-            routing = routing + length
-        served += 1
-        i += 1
-    return (
-        i, r_routing, r_served, r_matched,
-        p_routing, p_served, p_matched, p_since,
-        routing, served, matched,
-    )
-
-
-def warmup_kernels() -> bool:
-    """Force-compile every scan kernel on a tiny input; returns whether numba ran.
-
-    Useful before timing (first-call JIT compilation would otherwise land
-    inside the measured region).  Safe — and a cheap no-op — without numba.
-    """
-    keys = np.zeros(1, dtype=np.int64)
-    lengths = np.ones(1, dtype=np.float64)
-    thresholds = np.full(1, 2, dtype=np.int64)
-    member = np.zeros(4, dtype=np.uint8)
-    counters = np.zeros(4, dtype=np.int64)
-    rbma_scan(keys, lengths, thresholds, member, counters, 0, 0.0, 0, 0)
-    counter = np.zeros(4, dtype=np.float64)
-    usefulness = np.zeros(4, dtype=np.int64)
-    inserted = np.zeros(4, dtype=np.int64)
-    exists = np.zeros(4, dtype=np.uint8)
-    bma_scan(keys, lengths, member, counter, usefulness, exists, 100.0, 0, 0.0, 0, 0)
-    bma_select_victim(0, 2, member, usefulness, inserted)
-    bma_reset_counters(0, 2, member, counter)
-    lut_diff(member, member)
-    steady = np.zeros(4, dtype=np.uint8)
-    paging_steady_scan(keys, steady, 0, 0.0, 0, 0)
-    hybrid_scan(
-        keys, lengths, thresholds, counters, member, member, member,
-        1, 2.0, 10, 0,
-        0.0, 0.0, 0, 0,
-        0.0, 0.0, 0, 0,
-        0.0, 0, 0, 0,
-    )
-    return NUMBA_AVAILABLE
+    """Always ``False``: no compiled kernel exists (kept for ``perfbench/panel.py``)."""
+    return False

@@ -527,8 +527,8 @@ class StreamingSimulation:
         )
         extra: dict = {
             # Provenance: the backend the config asked for and the kernel that
-            # actually ran.  They differ exactly when the numba backend fell
-            # back to the pure-Python fast kernel (numba missing or masked).
+            # actually ran.  They differ exactly when the config named the
+            # legacy "numba" alias, which runs the fast kernel.
             "matching_backend": config.matching_backend,
             "matching_kernel": algorithm.matching.backend_name,
         }

@@ -18,15 +18,13 @@ the storage key.  The fingerprint contract:
   bumping :data:`SCHEMA_VERSION` (when result semantics change
   incompatibly) invalidates every existing entry by construction, no
   migration pass needed.
-* **Backend provenance.**  The digest covers the *effective* kernels, not
-  just the requested names: a spec pinning ``matching_backend="numba"`` on
-  a host where numba is missing or masked runs the pure-Python fallback,
-  and its fingerprint differs from the same spec on a host where the
-  compiled kernel is genuinely active.  Results are bit-identical across
-  that divide by design, but wall-clock provenance is not, so the store
-  keeps the runs distinguishable.  The same applies to SO-BMA's static
-  solver backend, and — for randomized algorithms, where the two modes
-  draw genuinely different randomness — to the effective ``rng_mode``.
+* **Backend provenance.**  The digest covers the requested backend names
+  *and* the effective kernels they resolve to: ``matching_backend`` and
+  ``matching_kernel``, SO-BMA's ``solver_kernel``, and — for randomized
+  algorithms, where the two modes draw genuinely different randomness —
+  the effective ``rng_mode``.  A spec naming the legacy ``"numba"`` alias
+  resolves to ``"fast"``/``"array"``, exactly as it always did on hosts
+  without numba, so its stored fingerprint stays valid.
 
 Fingerprints are hex blake2b digests (160 bits), stable across processes,
 platforms, and Python versions for a given :data:`SCHEMA_VERSION`.
@@ -40,7 +38,7 @@ from typing import Any, Dict, Mapping, Union
 
 from ..errors import ConfigurationError
 from ..experiments.specs import ExperimentSpec, canonical_data
-from ..matching import numba_backend_active
+from ..matching import resolve_matching_backend
 from ..matching.static_solver import resolve_solver_backend
 
 __all__ = [
@@ -78,19 +76,19 @@ def effective_kernels(spec: ExperimentSpec) -> Dict[str, str]:
     """The kernels a run of ``spec`` would actually execute on this host.
 
     Mirrors the requested-vs-effective provenance the engine records in
-    ``RunResult.extra``: the ``"numba"`` matching backend resolves to
-    ``"fast"`` when the compiled kernel is unavailable or masked, and
-    SO-BMA's solver backend resolves through
+    ``RunResult.extra``: the matching backend resolves through
+    :func:`repro.matching.resolve_matching_backend` (``"numba"`` ->
+    ``"fast"``), and SO-BMA's solver backend resolves through
     :func:`repro.matching.static_solver.resolve_solver_backend` (the
     ``"greedy"`` solver bypasses the blossom tier entirely).  Algorithms
     without a static solve carry no solver key, so flipping the solver
     default cannot invalidate, say, cached RBMA runs.
     """
     backend = spec.simulation.matching_backend
-    kernel = backend
-    if backend == "numba" and not numba_backend_active():
-        kernel = "fast"
-    kernels = {"matching_backend": backend, "matching_kernel": kernel}
+    kernels = {
+        "matching_backend": backend,
+        "matching_kernel": resolve_matching_backend(backend),
+    }
 
     from ..core.registry import ALGORITHMS  # local: registries load late
 

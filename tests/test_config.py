@@ -74,7 +74,7 @@ class TestSimulationConfig:
         assert all(isinstance(p, int) for p in cfg.checkpoint_positions)
 
     def test_matching_backend_numba_is_always_a_valid_name(self):
-        """'numba' validates everywhere; availability is resolved at build time."""
+        """'numba' validates everywhere: it is the legacy alias of 'fast'."""
         assert SimulationConfig(matching_backend="numba").matching_backend == "numba"
 
     def test_rejects_unknown_matching_backend(self):

@@ -1,6 +1,6 @@
 """Differential harness: every kernel must be indistinguishable from BMatching.
 
-Two layers of evidence certify the fast and numba kernels:
+Two layers of evidence certify the fast kernel:
 
 * **Operation-level** — randomized operation sequences (hypothesis-driven and
   seeded-exhaustive) are applied to all kernels in lockstep; every return
@@ -13,23 +13,16 @@ Two layers of evidence certify the fast and numba kernels:
   approximate), as must the final matching state.
 
 Because the engine routes ``"reference"`` runs through the original
-per-request loop and ``"fast"``/``"numba"`` runs through the batched
-``serve_batch`` path, the replay layer simultaneously guards the kernel
-swaps, the batched engine path, and every algorithm's hand-tuned batch loop
-(including the numba scan drivers).
-
-The numba legs run on every host: an autouse fixture sets
-``REPRO_NUMBA_PUREPY`` so the numba code path executes uncompiled where
-numba is missing — same functions, same arithmetic, no JIT.  Under the
-*nonumba* CI tier (``REPRO_NO_NUMBA=1``, which takes precedence) the
-``"numba"`` legs resolve to the fast-kernel fallback instead, which is
-exactly the behaviour that tier exists to exercise; the one test that
-requires the numba backend to be genuinely active skips itself there.
+per-request loop and ``"fast"`` runs through the batched ``serve_batch``
+path, the replay layer simultaneously guards the kernel swap, the batched
+engine path, and every algorithm's hand-tuned batch loop — including the
+uniform algorithm's steady-pair skip and the hybrid combiner's
+quiet-request skip.  The segment-split test additionally runs every
+algorithm under the legacy ``"numba"`` backend name, which must keep
+resolving to the fast kernel so stored specs naming it stay valid.
 """
 
 from __future__ import annotations
-
-import os
 
 import numpy as np
 import pytest
@@ -40,30 +33,12 @@ from repro.config import MatchingConfig, SimulationConfig
 from repro.core.registry import ALGORITHMS
 from repro.errors import ReproError
 from repro.experiments import ExperimentSpec
-from repro.matching import (
-    BMatching,
-    FastBMatching,
-    NumbaBMatching,
-    convert_matching,
-    make_matching,
-    numba_backend_active,
-)
+from repro.matching import BMatching, FastBMatching, convert_matching, make_matching
 from repro.simulation import run_simulation
 from repro.topology.registry import TOPOLOGIES
 from repro.traffic.registry import WORKLOADS
 
-BACKENDS = ("reference", "fast", "numba")
-
-
-@pytest.fixture(autouse=True)
-def _enable_numba_leg(monkeypatch):
-    """Let the numba backend run (uncompiled) on hosts without numba.
-
-    ``REPRO_NO_NUMBA`` deliberately keeps precedence: the nonumba CI tier
-    masks the backend regardless, turning the numba legs into fallback-path
-    coverage.
-    """
-    monkeypatch.setenv("REPRO_NUMBA_PUREPY", "1")
+BACKENDS = ("reference", "fast")
 
 # --------------------------------------------------------------------------- #
 # Operation-level differential testing
@@ -118,25 +93,18 @@ def _snapshot(matching):
 
 def _run_lockstep(ops):
     reference = BMatching(N_NODES, B)
-    others = {"fast": FastBMatching(N_NODES, B), "numba": NumbaBMatching(N_NODES, B)}
+    fast = FastBMatching(N_NODES, B)
     for step, (op_idx, nodes) in enumerate(ops):
         op, arity = _OPS[op_idx % len(_OPS)]
         args = tuple(nodes[:arity])
         ref_out = _apply(reference, op, args)
-        ref_state = _snapshot(reference)
-        for name, kernel in others.items():
-            out = _apply(kernel, op, args)
-            assert ref_out == out, (
-                f"step {step}: {op}{args} diverged: reference={ref_out} {name}={out}"
-            )
-            assert ref_state == _snapshot(kernel), (
-                f"step {step}: {name} state diverged after {op}{args}"
-            )
-        # The numba kernel's membership LUT must mirror its edge set exactly
-        # (the compiled scans trust it blindly).
-        numba = others["numba"]
-        lut_keys = sorted(int(k) for k in np.nonzero(numba.member_lut)[0])
-        assert lut_keys == sorted(numba.edge_keys), f"step {step}: LUT drifted"
+        out = _apply(fast, op, args)
+        assert ref_out == out, (
+            f"step {step}: {op}{args} diverged: reference={ref_out} fast={out}"
+        )
+        assert _snapshot(reference) == _snapshot(fast), (
+            f"step {step}: fast state diverged after {op}{args}"
+        )
 
 
 # Node values deliberately include out-of-range ids and duplicate endpoints so
@@ -186,28 +154,18 @@ def test_copy_and_convert_roundtrip():
     back = convert_matching(reference, "fast")
     assert isinstance(back, FastBMatching)
     assert _snapshot(back) == _snapshot(fast)
-    # Same-backend conversion is the identity, not a copy.
+    # Same-kernel conversion is the identity, not a copy — also through
+    # the legacy "numba" alias of the fast kernel.
     assert convert_matching(fast, "fast") is fast
-    if numba_backend_active():
-        compiled = convert_matching(fast, "numba")
-        assert type(compiled) is NumbaBMatching
-        assert _snapshot(compiled) == _snapshot(fast)
-        clone = compiled.copy()
-        assert type(clone) is NumbaBMatching
-        assert _snapshot(clone) == _snapshot(compiled)
-        assert np.array_equal(clone.member_lut, compiled.member_lut)
-        assert convert_matching(compiled, "numba") is compiled
-        assert _snapshot(convert_matching(compiled, "fast")) == _snapshot(fast)
+    assert convert_matching(fast, "numba") is fast
 
 
 def test_make_matching_backends():
     assert isinstance(make_matching(4, 2, "reference"), BMatching)
     assert isinstance(make_matching(4, 2, "fast"), FastBMatching)
     assert isinstance(make_matching(4, 2), FastBMatching)  # default
-    # "numba" always resolves: to the compiled kernel when active, to the
-    # fast kernel (with a one-time warning elsewhere) when not.
-    expected = NumbaBMatching if numba_backend_active() else FastBMatching
-    assert type(make_matching(4, 2, "numba")) is expected
+    # The legacy "numba" name is a silent alias of the fast kernel.
+    assert type(make_matching(4, 2, "numba")) is FastBMatching
     with pytest.raises(ReproError):
         make_matching(4, 2, "no-such-kernel")
 
@@ -238,8 +196,33 @@ _WORKLOAD_PARAMS = {
 }
 
 
-def _spec(algorithm: str, topology: str, workload: str, backend: str) -> ExperimentSpec:
-    params = {"solver": "greedy"} if algorithm == "so-bma" else {}
+#: Extra (algorithm, workload, params) inputs reaching batched branches the
+#: defaults never hit on a 250-request trace: hybrid with a short predictive
+#: period and a low switch factor (the default period=1000 never elapses,
+#: so no batched predictive reconfiguration — and no switch — would be
+#: compared; facebook-web's shifting demand makes a mistimed
+#: reconfiguration change the costs, which zipf's stable demand hides), and
+#: uniform on LRU paging, which is not hit-pure and so keeps no steady-pair
+#: LUT.  Keyed by the case id used in parametrized test names.
+_EXTRA_CASES = {
+    "hybrid-period20": (
+        "hybrid", "facebook-web", {"period": 20, "window": 40, "switch_factor": 1.2}
+    ),
+    "uniform-lru": ("uniform", _CANONICAL_WORKLOAD, {"paging_policy": "lru"}),
+}
+
+
+def _case(name: str):
+    """``(algorithm, workload, params)`` of an algorithm name or an extra case."""
+    return _EXTRA_CASES.get(name, (name, _CANONICAL_WORKLOAD, {}))
+
+
+def _spec(
+    algorithm: str, topology: str, workload: str, backend: str, params=None
+) -> ExperimentSpec:
+    params = dict(params or {})
+    if algorithm == "so-bma":
+        params["solver"] = "greedy"
     workload_params = {"n_nodes": 8, "n_requests": 250,
                        **_WORKLOAD_PARAMS.get(workload, {})}
     return ExperimentSpec(
@@ -265,13 +248,15 @@ def _assert_bit_identical(reference, fast, what: str) -> None:
     ), what
 
 
-def _compare_backends(algorithm: str, topology: str, workload: str) -> None:
+def _compare_backends(algorithm: str, topology: str, workload: str, params=None):
+    """Replay on every backend, assert bit-identity; returns the fast run's algorithm."""
     runs = {}
+    algos = {}
     for backend in BACKENDS:
-        spec = _spec(algorithm, topology, workload, backend)
+        spec = _spec(algorithm, topology, workload, backend, params)
         trace = spec.build_trace()
         topo = spec.build_topology(trace)
-        algo = spec.build_algorithm(topo)
+        algo = algos[backend] = spec.build_algorithm(topo)
         runs[backend] = (
             run_simulation(algo, trace, SimulationConfig(
                 checkpoints=6, matching_backend=backend)),
@@ -280,16 +265,13 @@ def _compare_backends(algorithm: str, topology: str, workload: str) -> None:
             algo.matching.additions,
             algo.matching.removals,
         )
-        if backend == "numba" and numba_backend_active():
-            assert algo.matching.backend_name == "numba", (
-                f"numba leg of {algorithm} did not run on the numba kernel"
-            )
     ref = runs["reference"]
     for backend in BACKENDS[1:]:
         what = f"{algorithm} on {topology}/{workload} ({backend} vs reference)"
         other = runs[backend]
         _assert_bit_identical(ref[0], other[0], what)
         assert ref[1:] == other[1:], f"final matching state diverged for {what}"
+    return algos["fast"]
 
 
 @pytest.mark.parametrize("topology", TOPOLOGY_NAMES)
@@ -307,6 +289,21 @@ def test_replay_identical_across_workloads(algorithm, workload):
     _compare_backends(algorithm, _CANONICAL_TOPOLOGY, workload)
 
 
+def test_replay_identical_for_batched_predictive_reconfiguration():
+    """Hybrid with a short period: batched switches and predictive steps."""
+    algorithm, workload, params = _EXTRA_CASES["hybrid-period20"]
+    algo = _compare_backends(algorithm, _CANONICAL_TOPOLOGY, workload, params)
+    assert algo.switches > 0
+    assert algo._predictive.total_reconfiguration_cost > 0
+
+
+def test_replay_identical_for_non_steady_safe_paging():
+    """Uniform on LRU paging: the batched loop without a steady-pair LUT."""
+    algorithm, workload, params = _EXTRA_CASES["uniform-lru"]
+    algo = _compare_backends(algorithm, _CANONICAL_TOPOLOGY, workload, params)
+    assert algo._matcher.steady_lut is None
+
+
 def test_backend_recorded_in_spec_roundtrip():
     """matching_backend survives the spec dict/JSON round-trip."""
     for backend in ("reference", "numba"):
@@ -314,19 +311,6 @@ def test_backend_recorded_in_spec_roundtrip():
         clone = ExperimentSpec.from_dict(spec.to_dict())
         assert clone.simulation.matching_backend == backend
         assert clone == spec
-
-
-def test_numba_leg_is_genuinely_active():
-    """Outside the nonumba tier, the numba legs must not silently degrade.
-
-    Guards the harness itself: if the purepy escape hatch ever stopped
-    activating the backend, every numba comparison above would become a
-    fast-vs-fast tautology without failing.
-    """
-    if os.environ.get("REPRO_NO_NUMBA", "").strip() not in ("", "0"):
-        pytest.skip("nonumba tier: the numba backend is masked by design")
-    assert numba_backend_active()
-    assert type(make_matching(4, 2, "numba")) is NumbaBMatching
 
 
 # --------------------------------------------------------------------------- #
@@ -351,7 +335,7 @@ def test_every_registered_algorithm_is_batched():
 
 
 @pytest.mark.parametrize("backend", ["fast", "numba"])
-@pytest.mark.parametrize("algorithm", ALGORITHM_NAMES)
+@pytest.mark.parametrize("algorithm", ALGORITHM_NAMES + sorted(_EXTRA_CASES))
 @pytest.mark.parametrize("seed", [0, 1])
 def test_serve_batch_random_segments_match_serve(algorithm, seed, backend):
     """serve_batch over arbitrary segment splits == request-by-request serve.
@@ -360,18 +344,19 @@ def test_serve_batch_random_segments_match_serve(algorithm, seed, backend):
     segments; this drives every algorithm's hand-tuned batch loop across
     *random* segment boundaries (including single-request segments) so that
     all state carried between ``serve_batch`` calls — rotation counters,
-    predictor windows, expert costs, paging marks, and the numba drivers'
-    dict<->dense-array counter syncs — is proven equivalent to sequential
-    serving, not just equivalent at checkpoint granularity.  The sequential
-    arm always runs on the default fast kernel, so the numba leg is also a
-    cross-backend comparison.
+    predictor windows, expert costs and deferred observations, paging marks
+    and steady-pair LUTs — is proven equivalent to sequential serving, not
+    just equivalent at checkpoint granularity.  The ``"numba"`` leg rebinds
+    through the legacy alias, which must land on the fast kernel.
     """
-    spec = _spec(algorithm, "leaf-spine", "zipf", backend)
+    algorithm, workload, params = _case(algorithm)
+    spec = _spec(algorithm, "leaf-spine", workload, backend, params)
     trace = spec.build_trace()
     topo = spec.build_topology(trace)
 
     batched = spec.build_algorithm(topo)
     batched.rebind_matching_backend(backend)
+    assert batched.matching.backend_name == "fast"
     if batched.requires_full_trace:
         batched.fit(trace)
     rng = np.random.default_rng(seed)

@@ -1,19 +1,9 @@
-"""The import-optional numba matching backend: gate, fallback, and provenance.
+"""The legacy ``"numba"`` matching backend name: a silent alias of ``"fast"``.
 
-The backend contract (see :mod:`repro.matching.numba_bmatching`):
-
-* ``"numba"`` is always a *valid* backend name — configs and specs naming it
-  validate on every host;
-* whether it resolves to the compiled kernel is decided at construction
-  time by :func:`repro.matching.numba_backend_active`:
-  ``REPRO_NO_NUMBA`` masks it unconditionally (the nonumba CI tier), numba
-  availability enables it, and ``REPRO_NUMBA_PUREPY`` enables the
-  uncompiled-but-identical test mode on numba-less hosts;
-* when inactive, :func:`make_matching` falls back to the pure-Python fast
-  kernel with exactly one warning per process, and a run requesting the
-  numba backend is bit-identical to a fast-backend run (trivially — it *is*
-  one), with the requested backend and the effective kernel both recorded
-  in ``RunResult.extra``.
+The compiled tier it once named is retired.  The name stays registered so
+stored configs and specs naming it still validate and run: it builds the
+fast kernel, runs bit-identically to ``"fast"``, and records both the
+requested name and the kernel that ran in ``RunResult.extra``.
 """
 
 from __future__ import annotations
@@ -23,129 +13,17 @@ import warnings
 import numpy as np
 import pytest
 
-import repro.matching as matching_mod
 from repro.config import MatchingConfig, SimulationConfig
 from repro.core import RBMA, BMA
-from repro.matching import (
-    FastBMatching,
-    MATCHING_BACKENDS,
-    NUMBA_AVAILABLE,
-    NumbaBMatching,
-    make_matching,
-    numba_backend_active,
-)
-from repro.matching.numba_bmatching import warmup_kernels
+from repro.matching import FastBMatching, MATCHING_BACKENDS
 from repro.simulation import run_simulation
 from repro.topology import LeafSpineTopology
 from repro.traffic import zipf_pair_trace
 
 
-@pytest.fixture
-def fresh_warning_latch(monkeypatch):
-    """Reset the once-per-process fallback-warning latch for one test."""
-    monkeypatch.setattr(matching_mod, "_NUMBA_FALLBACK_WARNED", False)
-
-
-# --------------------------------------------------------------------------- #
-# Gate behaviour
-# --------------------------------------------------------------------------- #
-
-
 def test_numba_is_always_a_registered_backend():
-    assert MATCHING_BACKENDS["numba"] is NumbaBMatching
+    assert MATCHING_BACKENDS["numba"] is FastBMatching
     assert SimulationConfig(matching_backend="numba").matching_backend == "numba"
-
-
-def test_repro_no_numba_masks_the_backend(monkeypatch):
-    monkeypatch.setenv("REPRO_NO_NUMBA", "1")
-    monkeypatch.setenv("REPRO_NUMBA_PUREPY", "1")  # must lose to the mask
-    assert not numba_backend_active()
-
-
-def test_purepy_flag_activates_the_backend_without_numba(monkeypatch):
-    monkeypatch.delenv("REPRO_NO_NUMBA", raising=False)
-    monkeypatch.setenv("REPRO_NUMBA_PUREPY", "1")
-    assert numba_backend_active()
-    built = make_matching(6, 2, "numba")
-    assert type(built) is NumbaBMatching
-    assert built.backend_name == "numba"
-
-
-def test_zero_valued_flags_count_as_unset(monkeypatch):
-    monkeypatch.setenv("REPRO_NO_NUMBA", "0")
-    monkeypatch.delenv("REPRO_NUMBA_PUREPY", raising=False)
-    assert numba_backend_active() == NUMBA_AVAILABLE
-
-
-def test_fallback_builds_fast_kernel_and_warns_exactly_once(
-    monkeypatch, fresh_warning_latch
-):
-    monkeypatch.setenv("REPRO_NO_NUMBA", "1")
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        first = make_matching(6, 2, "numba")
-        second = make_matching(6, 2, "numba")
-    assert type(first) is FastBMatching and type(second) is FastBMatching
-    fallback_warnings = [w for w in caught if "falling back" in str(w.message)]
-    assert len(fallback_warnings) == 1
-    assert issubclass(fallback_warnings[0].category, RuntimeWarning)
-
-
-def test_compiled_kernels_really_compile():
-    """Where numba is installed, the scan kernels must be real dispatchers."""
-    if not NUMBA_AVAILABLE:
-        pytest.skip("numba is not installed in this environment")
-    from repro.matching import numba_bmatching as nb
-
-    assert warmup_kernels()
-    for kernel in (nb.rbma_scan, nb.bma_scan, nb.bma_select_victim,
-                   nb.bma_reset_counters, nb.lut_diff):
-        assert kernel.signatures, f"{kernel} never compiled"
-
-
-# --------------------------------------------------------------------------- #
-# Kernel invariants (run uncompiled everywhere; compiled where numba exists)
-# --------------------------------------------------------------------------- #
-
-
-def test_member_lut_tracks_edges_through_random_ops():
-    rng = np.random.default_rng(7)
-    kernel = NumbaBMatching(8, 2)
-    for _ in range(300):
-        u, v = int(rng.integers(8)), int(rng.integers(8))
-        if u == v:
-            continue
-        if (u, v) in kernel:
-            if rng.random() < 0.5:
-                kernel.mark_for_removal(u, v)
-            else:
-                kernel.remove(u, v)
-        elif kernel.has_capacity(u, v):
-            kernel.add(u, v)
-        lut_keys = sorted(int(k) for k in np.nonzero(kernel.member_lut)[0])
-        assert lut_keys == sorted(kernel.edge_keys)
-
-
-def test_warmup_kernels_is_safe_without_numba():
-    assert warmup_kernels() == NUMBA_AVAILABLE
-
-
-def test_lut_diff_matches_sorted_set_diff():
-    from repro.matching.numba_bmatching import lut_diff
-
-    rng = np.random.default_rng(3)
-    current = (rng.random(64) < 0.3).astype(np.uint8)
-    target = (rng.random(64) < 0.3).astype(np.uint8)
-    removed, added = lut_diff(current, target)
-    cur_keys = {int(k) for k in np.nonzero(current)[0]}
-    tgt_keys = {int(k) for k in np.nonzero(target)[0]}
-    assert list(removed) == sorted(cur_keys - tgt_keys)
-    assert list(added) == sorted(tgt_keys - cur_keys)
-
-
-# --------------------------------------------------------------------------- #
-# End-to-end: fallback and provenance
-# --------------------------------------------------------------------------- #
 
 
 def _run(algorithm_cls, backend: str, seed: int = 11):
@@ -159,51 +37,45 @@ def _run(algorithm_cls, backend: str, seed: int = 11):
 
 
 @pytest.mark.parametrize("algorithm_cls", [RBMA, BMA])
-def test_fallback_run_is_bit_identical_to_fast(
-    monkeypatch, fresh_warning_latch, algorithm_cls
-):
-    """With numba masked, a numba-backend run IS a fast-backend run."""
-    monkeypatch.setenv("REPRO_NO_NUMBA", "1")
+def test_fallback_run_is_bit_identical_to_fast(algorithm_cls):
+    """A numba-backend run IS a fast-backend run, and says so silently."""
     algo_fast, res_fast = _run(algorithm_cls, "fast")
-    algo_numba, res_numba = _run(algorithm_cls, "numba")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        algo_numba, res_numba = _run(algorithm_cls, "numba")
     assert type(algo_numba.matching) is FastBMatching
     assert res_numba.total_routing_cost == res_fast.total_routing_cost
     assert res_numba.total_reconfiguration_cost == res_fast.total_reconfiguration_cost
     assert np.array_equal(res_numba.series.routing_cost, res_fast.series.routing_cost)
+    assert sorted(algo_numba.matching.edges) == sorted(algo_fast.matching.edges)
     # Provenance: the result records both the request and the reality.
     assert res_numba.extra["matching_backend"] == "numba"
     assert res_numba.extra["matching_kernel"] == "fast"
     assert res_fast.extra["matching_kernel"] == "fast"
 
 
-def test_hybrid_experts_stay_on_backend_after_reset(monkeypatch):
-    """Regression: reset() used to drop the experts back to the fast kernel.
+def test_hybrid_experts_stay_on_backend_after_reset():
+    """Regression: reset() used to drop the experts back to the default kernel.
 
     The engine's rebind is a no-op after reset (the combiner still reports
-    backend 'numba'), so ``_make_experts`` must rebind the fresh experts
-    itself — otherwise the compiled drivers silently never run while the
-    provenance still claims the numba kernel.
+    its rebound backend), so ``_make_experts`` must rebind the fresh
+    experts itself — otherwise a reference-backend run would silently drive
+    its experts on the fast kernel.
     """
-    monkeypatch.setenv("REPRO_NUMBA_PUREPY", "1")
-    if not numba_backend_active():
-        pytest.skip("nonumba tier: the numba backend is masked by design")
     from repro.core import HybridBMA
 
     topo = LeafSpineTopology(n_racks=8)
     algo = HybridBMA(topo, MatchingConfig(b=2, alpha=4.0), rng=1)
-    algo.rebind_matching_backend("numba")
-    assert algo._robust.matching.backend_name == "numba"
+    algo.rebind_matching_backend("reference")
+    assert algo._robust.matching.backend_name == "reference"
     algo.reset()
-    assert algo.matching.backend_name == "numba"
-    assert algo._robust.matching.backend_name == "numba"
-    assert algo._predictive.matching.backend_name == "numba"
+    assert algo.matching.backend_name == "reference"
+    assert algo._robust.matching.backend_name == "reference"
+    assert algo._predictive.matching.backend_name == "reference"
 
 
-def test_rbma_interleaved_serve_and_serve_batch_on_numba(monkeypatch):
-    """serve() and serve_batch() share the dense counter store in numba mode."""
-    monkeypatch.setenv("REPRO_NUMBA_PUREPY", "1")
-    if not numba_backend_active():
-        pytest.skip("nonumba tier: the numba backend is masked by design")
+def test_rbma_interleaved_serve_and_serve_batch_on_numba():
+    """serve() and serve_batch() share R-BMA's counter store (legacy name)."""
     topo = LeafSpineTopology(n_racks=8)
     trace = zipf_pair_trace(n_nodes=8, n_requests=200, seed=4)
 
@@ -216,7 +88,6 @@ def test_rbma_interleaved_serve_and_serve_batch_on_numba(monkeypatch):
         mixed.serve(request)
 
     sequential = RBMA(topo, MatchingConfig(b=2, alpha=4.0), rng=9)
-    sequential.rebind_matching_backend("numba")
     for request in trace.requests():
         sequential.serve(request)
 
@@ -227,25 +98,8 @@ def test_rbma_interleaved_serve_and_serve_batch_on_numba(monkeypatch):
     pair = (min(pair), max(pair))
     assert mixed.pending_count(pair) == sequential.pending_count(pair)
 
-    # reset() must zero the dense store too: a second identical run matches.
+    # reset() must zero the counters too: a second identical run matches.
     mixed.reset()
     for request in trace.requests():
         mixed.serve(request)
     assert mixed.requests_served == sequential.requests_served
-
-
-@pytest.mark.parametrize("algorithm_cls", [RBMA, BMA])
-def test_active_backend_records_numba_kernel_and_matches_fast(
-    monkeypatch, algorithm_cls
-):
-    monkeypatch.setenv("REPRO_NUMBA_PUREPY", "1")
-    if not numba_backend_active():
-        pytest.skip("nonumba tier: the numba backend is masked by design")
-    algo_fast, res_fast = _run(algorithm_cls, "fast")
-    algo_numba, res_numba = _run(algorithm_cls, "numba")
-    assert type(algo_numba.matching) is NumbaBMatching
-    assert res_numba.extra["matching_kernel"] == "numba"
-    assert res_numba.total_routing_cost == res_fast.total_routing_cost
-    assert res_numba.total_reconfiguration_cost == res_fast.total_reconfiguration_cost
-    assert np.array_equal(res_numba.series.routing_cost, res_fast.series.routing_cost)
-    assert sorted(algo_numba.matching.edges) == sorted(algo_fast.matching.edges)

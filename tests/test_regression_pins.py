@@ -10,8 +10,9 @@ The golden-trace classes at the bottom extend the same idea to *every*
 registered algorithm (randomized ones under a pinned seed) on a committed
 800-request trace: total costs, matching counters, and the checkpoint series
 are pinned in ``tests/data/golden/golden_pins.json`` for every matching
-backend (reference, fast, and numba), so any kernel or replay-path change
-that alters observable results fails loudly here.
+backend (reference and fast, plus the legacy ``"numba"`` alias of fast), so
+any kernel or replay-path change that alters observable results fails
+loudly here.
 
 Randomized algorithms are pinned under *both* rng modes: the legacy
 ``"stateful"`` mode must reproduce the pre-counter ``pins`` byte-identically
@@ -177,20 +178,16 @@ def test_golden_registry_is_complete():
 
 @pytest.mark.parametrize("backend", ["reference", "fast", "numba"])
 @pytest.mark.parametrize("algorithm", GOLDEN_ALGORITHMS)
-def test_golden_trace_pins(algorithm, backend, monkeypatch):
+def test_golden_trace_pins(algorithm, backend):
     """Exact totals/counters/series on the committed trace, every kernel.
 
-    The numba leg forces the pure-Python escape hatch so it pins the numba
-    code path even on hosts without numba (compiled where available);
-    under the nonumba CI tier (``REPRO_NO_NUMBA=1``) it instead pins the
-    numba->fast fallback, which must hit the same goldens by definition.
+    The ``"numba"`` leg pins the legacy backend name: stored specs naming
+    it run the fast kernel and must hit the same goldens.
 
     The ``pins`` section predates the counter rng: it is pinned under
     ``rng_mode="stateful"``, certifying that the legacy mode still
     reproduces every pre-counter result byte-identically.
     """
-    if backend == "numba":
-        monkeypatch.setenv("REPRO_NUMBA_PUREPY", "1")
     observed = _run_golden(algorithm, backend, rng_mode="stateful")
     if os.environ.get("REPRO_REGEN_GOLDEN") == "1":  # pragma: no cover
         GOLDEN["pins"][algorithm] = observed
@@ -205,15 +202,13 @@ def test_golden_trace_pins(algorithm, backend, monkeypatch):
 
 @pytest.mark.parametrize("backend", ["reference", "fast", "numba"])
 @pytest.mark.parametrize("algorithm", RANDOMIZED_GOLDEN)
-def test_golden_trace_pins_counter(algorithm, backend, monkeypatch):
+def test_golden_trace_pins_counter(algorithm, backend):
     """Counter-mode (the default) pins for the randomized algorithms.
 
     Counter draws are keyed Philox functions of the request index, so they
     legitimately differ from the stateful sequence; this pins the new
     default so counter-mode drift fails just as loudly.
     """
-    if backend == "numba":
-        monkeypatch.setenv("REPRO_NUMBA_PUREPY", "1")
     observed = _run_golden(algorithm, backend, rng_mode="counter")
     if os.environ.get("REPRO_REGEN_GOLDEN") == "1":  # pragma: no cover
         GOLDEN.setdefault("pins_counter", {})[algorithm] = observed

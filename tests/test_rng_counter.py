@@ -5,7 +5,7 @@ Three layers of certification for :mod:`repro.core.rng`:
 * **Bit-identity of the pure-integer pipeline.**  ``counter_bounded_draw``
   reimplements NumPy's entire bounded-draw stack — Philox4x64-10 rounds,
   uint32 half-buffering, Lemire rejection, and the dispatch edge cases —
-  in ``@njit``-compatible uint64 arithmetic.  It is pinned against a fresh
+  in plain uint64 arithmetic.  It is pinned against a fresh
   ``Generator(Philox(...))`` at the same coordinates over seeded sweeps and
   hypothesis-driven coordinates, so any drift from NumPy's semantics fails
   here before it can corrupt a kernel.
@@ -16,9 +16,9 @@ Three layers of certification for :mod:`repro.core.rng`:
 * **Mode differentials.**  For the randomized algorithms
   (marking/random-eviction paging behind uniform and R-BMA), each rng mode
   must be self-consistent across request-by-request, batched, and streamed
-  replay at checkpoint-straddling chunk sizes, on the fast and (pure-Python
-  escape hatch) numba drive paths — while the two modes draw genuinely
-  different randomness from the same seed.
+  replay at checkpoint-straddling chunk sizes, also under the legacy
+  ``"numba"`` backend name — while the two modes draw genuinely different
+  randomness from the same seed.
 """
 
 import numpy as np
@@ -299,12 +299,9 @@ class TestModeDifferentialMatrix:
         assert _run(algorithm, rng_mode, paging_policy, chunk_size=chunk_size) == \
             _run(algorithm, rng_mode, paging_policy)
 
-    def test_numba_drive_path_matches(
-        self, algorithm, rng_mode, paging_policy, monkeypatch
-    ):
-        """The numba code path (pure-Python escape hatch) is bit-identical,
-        materialized and streamed."""
-        monkeypatch.setenv("REPRO_NUMBA_PUREPY", "1")
+    def test_numba_drive_path_matches(self, algorithm, rng_mode, paging_policy):
+        """The legacy ``"numba"`` backend name replays bit-identically to
+        ``"fast"``, materialized and streamed."""
         expected = _run(algorithm, rng_mode, paging_policy, backend="fast")
         assert _run(algorithm, rng_mode, paging_policy, backend="numba") == expected
         assert _run(algorithm, rng_mode, paging_policy, backend="numba",

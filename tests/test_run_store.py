@@ -185,22 +185,23 @@ class TestFingerprint:
         with pytest.raises(ConfigurationError, match="unseeded"):
             fingerprint_spec(_spec(seed=None))
 
-    def test_numba_fallback_distinguishes_runs(self, monkeypatch):
-        """A numba-requesting spec fingerprints differently depending on
-        whether the compiled kernel is genuinely active — and a spec that
-        never asked for numba is unaffected."""
-        import repro.store.fingerprint as fp_mod
+    def test_numba_alias_fingerprints_are_pinned(self):
+        """Specs naming the legacy "numba" backends keep their stored keys.
 
-        numba_spec = _spec(simulation={"checkpoints": 4,
-                                       "matching_backend": "numba"})
-        fast_spec = _spec(simulation={"checkpoints": 4,
-                                      "matching_backend": "fast"})
-        monkeypatch.setattr(fp_mod, "numba_backend_active", lambda: False)
-        numba_inactive = fingerprint_spec(numba_spec)
-        fast_inactive = fingerprint_spec(fast_spec)
-        monkeypatch.setattr(fp_mod, "numba_backend_active", lambda: True)
-        assert fingerprint_spec(numba_spec) != numba_inactive
-        assert fingerprint_spec(fast_spec) == fast_inactive
+        Both digests were recorded before the compiled tier was retired; on
+        every host the store has run on, "numba" already resolved to the
+        fast/array kernels, so the alias must fingerprint exactly as before
+        (which is why SCHEMA_VERSION was not bumped).
+        """
+        from repro.store.fingerprint import effective_kernels
+
+        rbma = _spec(simulation={"checkpoints": 4, "matching_backend": "numba"})
+        sobma = _spec(algorithm={"name": "so-bma", "b": 2, "alpha": 4,
+                                 "solver_backend": "numba"})
+        assert fingerprint_spec(rbma) == "b531f3deb3ca09a0f91052b8f058e3bd4f2038ae"
+        assert fingerprint_spec(sobma) == "78e2e960b0c160b5be1d84cd9552c3c710dc9f03"
+        assert effective_kernels(rbma)["matching_kernel"] == "fast"
+        assert effective_kernels(sobma)["solver_kernel"] == "array"
 
     def test_solver_kernel_only_covers_static_algorithms(self, monkeypatch):
         """Flipping the effective solver kernel re-keys SO-BMA runs but

@@ -1,12 +1,11 @@
 """Degenerate ``serve_batch`` shapes, pinned on every backend and algorithm.
 
-The compiled (numba) backend's scan kernels stop and resume at arbitrary
-indices, so their edge cases — zero-length segments, segments of one
-request, ``b = 1`` (every insertion can force an eviction), and runs with a
-single checkpoint (one segment spanning the whole trace) — are pinned here
-for *all* backends before any kernel change can regress them.  The numba
-legs run uncompiled via ``REPRO_NUMBA_PUREPY`` where numba is missing, and
-degrade to fallback coverage under the nonumba CI tier.
+The batched loops skip runs of requests (uniform's steady pairs, hybrid's
+quiet requests) and resume at arbitrary indices, so their edge cases —
+zero-length segments, segments of one request, ``b = 1`` (every insertion
+can force an eviction), and runs with a single checkpoint (one segment
+spanning the whole trace) — are pinned here for every backend.  The
+``"numba"`` legs run the legacy alias of the fast kernel.
 """
 
 from __future__ import annotations
@@ -26,11 +25,6 @@ ALGORITHM_NAMES = sorted({ALGORITHMS.canonical(name) for name in ALGORITHMS.name
 
 N_NODES = 8
 N_REQUESTS = 120
-
-
-@pytest.fixture(autouse=True)
-def _enable_numba_leg(monkeypatch):
-    monkeypatch.setenv("REPRO_NUMBA_PUREPY", "1")
 
 
 @pytest.fixture

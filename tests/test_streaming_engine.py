@@ -133,13 +133,8 @@ def test_streaming_differential_matrix(algorithm, backend, chunk_size):
 
 
 @pytest.mark.parametrize("algorithm", GOLDEN_ALGORITHMS)
-def test_streaming_differential_numba_kernel(algorithm, monkeypatch):
-    """The numba backend's drive path streams bit-identically too.
-
-    REPRO_NUMBA_PUREPY forces the pure-Python escape hatch so the numba code
-    path is exercised even on hosts without numba (compiled where available).
-    """
-    monkeypatch.setenv("REPRO_NUMBA_PUREPY", "1")
+def test_streaming_differential_numba_kernel(algorithm):
+    """A config naming the legacy ``"numba"`` backend streams bit-identically."""
     materialized = run_simulation(
         _build_golden_algorithm(algorithm), GOLDEN_TRACE, _golden_config("numba")
     )
