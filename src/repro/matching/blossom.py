@@ -6,13 +6,26 @@ of the Galil (1986) primal-dual blossom method — the same algorithm NetworkX
 ships as ``max_weight_matching`` — onto flat, int-indexed structures:
 
 * edges live in three parallel arrays (``endpoint_u``, ``endpoint_v``,
-  ``weight``) addressed by a machine-int edge id, with per-vertex adjacency
+  ``twice_w`` = twice the weight, the term every slack subtracts)
+  addressed by a machine-int edge id, with per-vertex adjacency
   lists of edge ids — no ``nx.Graph``, no AtlasView, no per-edge attribute
   dicts on the hot ``slack`` path;
 * vertices are ``0..n-1`` and non-trivial blossoms are ints ``>= n``
   allocated in creation order, so the blossom bookkeeping is dicts over
-  small ints instead of object graphs;
-* the per-stage ``allowedge`` set becomes a flat per-edge flag array.
+  small ints instead of object graphs.  The dicts the algorithm iterates
+  (``blossomparent``, ``blossomdual``, ``childs``, ``bedges``,
+  ``mybestedges``, ``labeledge``) stay dicts, because their order is the
+  tie-breaking order; ``label`` and ``bestedge`` are never iterated in an
+  order that matters, so they are flat lists indexed by id, grown by one
+  ``None`` slot per new blossom and reset per stage with one slice
+  assignment;
+* ``bestslack[x]`` caches the slack of ``bestedge[x]``.  It is written
+  with every non-``None`` ``bestedge[x]`` and, since slacks depend only on
+  the vertex duals, it is valid between dual updates and refreshed right
+  after each.  The neighbour scan compares against it instead of
+  recomputing the best edge's slack per visit;
+* the per-stage ``allowedge`` set becomes a flat per-edge flag array,
+  cleared with one slice assignment.
 
 Output fidelity
 ---------------
@@ -76,7 +89,9 @@ def max_weight_matching_arrays(
     nedge = len(edges)
     endpoint_u: List[int] = [0] * nedge
     endpoint_v: List[int] = [0] * nedge
-    weight_of: List[float] = [0] * nedge
+    # twice_w[k] = 2 * (weight of edge k); doubling is exact for floats and
+    # ints, so slacks computed from it are bit-identical to NetworkX's.
+    twice_w: List[float] = [0] * nedge
     # adjacency[v] holds (edge id, neighbour) pairs in edge insertion order —
     # the same neighbour order a NetworkX adjacency dict would iterate in.
     adjacency: List[List[Tuple[int, int]]] = [[] for _ in range(n)]
@@ -100,7 +115,7 @@ def max_weight_matching_arrays(
         seen_pairs.add(pair_key)
         endpoint_u[k] = i
         endpoint_v[k] = j
-        weight_of[k] = wt
+        twice_w[k] = 2 * wt
         adjacency[i].append((k, j))
         adjacency[j].append((k, i))
         if wt > maxweight:
@@ -121,24 +136,30 @@ def max_weight_matching_arrays(
     # creation order (never reused), so iterating the plain dicts below
     # visits vertices first and then blossoms in creation order — the same
     # order the NetworkX dict-of-objects version iterates, which matters for
-    # delta tie-breaking.
+    # delta tie-breaking.  No result depends on the order of label, bestedge
+    # or bestslack, so they are flat lists indexed by vertex/blossom id
+    # (None = unset), grown by one slot per new blossom.
     next_blossom_id = n
     childs: Dict[int, List[int]] = {}
     bedges: Dict[int, List[Tuple[int, int, int]]] = {}
     mybestedges: Dict[int, object] = {}
-    label: Dict[int, object] = {}
+    label: List[object] = [None] * n
     labeledge: Dict[int, object] = {}
     inblossom: List[int] = list(range(n))
     blossomparent: Dict[int, object] = {v: None for v in range(n)}
     blossombase: Dict[int, int] = {v: v for v in range(n)}
-    bestedge: Dict[int, object] = {}
+    bestedge: List[object] = [None] * n
+    # bestslack[x] = slack(bestedge[x][2]) wherever bestedge[x] is set;
+    # valid between dual updates and refreshed right after each.
+    bestslack: List[object] = [None] * n
     blossomdual: Dict[int, float] = {}
     allowedge: List[bool] = [False] * nedge
+    no_edges: List[bool] = [False] * nedge
     queue: List[int] = []
 
     def slack(k: int):
         """2 * slack of edge ``k`` (does not work inside blossoms)."""
-        return dualvar[endpoint_u[k]] + dualvar[endpoint_v[k]] - 2 * weight_of[k]
+        return dualvar[endpoint_u[k]] + dualvar[endpoint_v[k]] - twice_w[k]
 
     def leaves(b: int):
         """The blossom's leaf vertices, in NetworkX's stack order."""
@@ -153,7 +174,7 @@ def max_weight_matching_arrays(
     def assign_label(w: int, t: int, v: int, k: int) -> None:
         """Label the top-level blossom of ``w`` with ``t`` via edge (v, w, k)."""
         b = inblossom[w]
-        assert label.get(w) is None and label.get(b) is None
+        assert label[w] is None and label[b] is None
         label[w] = label[b] = t
         if v != _NO_NODE:
             labeledge[w] = labeledge[b] = (v, w, k)
@@ -208,6 +229,9 @@ def max_weight_matching_arrays(
         bw = inblossom[w]
         b = next_blossom_id
         next_blossom_id += 1
+        label.append(None)
+        bestedge.append(None)
+        bestslack.append(None)
         blossombase[b] = base
         blossomparent[b] = None
         blossomparent[bb] = b
@@ -268,7 +292,7 @@ def max_weight_matching_arrays(
                 bj = inblossom[j]
                 if (
                     bj != b
-                    and label.get(bj) == 1
+                    and label[bj] == 1
                     and ((bj not in bestedgeto) or slack(kk) < slack(bestedgeto[bj][2]))
                 ):
                     bestedgeto[bj] = edge
@@ -283,6 +307,7 @@ def max_weight_matching_arrays(
                 mybestedge = edge
                 mybestslack = kslack
         bestedge[b] = mybestedge
+        bestslack[b] = mybestslack
 
     def expand_blossom(b: int, endstage: bool) -> None:
         """Expand the given top-level blossom (trampolined recursion)."""
@@ -299,7 +324,7 @@ def max_weight_matching_arrays(
                 else:
                     inblossom[s] = s
             # Relabel sub-blossoms when expanding a T-blossom mid-stage.
-            if (not endstage) and label.get(b) == 2:
+            if (not endstage) and label[b] == 2:
                 entrychild = inblossom[labeledge[b][1]]
                 j = childs[b].index(entrychild)
                 if j & 1:
@@ -332,16 +357,16 @@ def max_weight_matching_arrays(
                 j += jstep
                 while childs[b][j] != entrychild:
                     bv = childs[b][j]
-                    if label.get(bv) == 1:
+                    if label[bv] == 1:
                         j += jstep
                         continue
                     if bv >= n:
                         for v in leaves(bv):
-                            if label.get(v):
+                            if label[v]:
                                 break
                     else:
                         v = bv
-                    if label.get(v):
+                    if label[v]:
                         assert label[v] == 2
                         assert inblossom[v] == bv
                         label[v] = None
@@ -349,9 +374,9 @@ def max_weight_matching_arrays(
                         assign_label(v, 2, labeledge[v][0], labeledge[v][2])
                     j += jstep
             # Remove the expanded blossom entirely.
-            label.pop(b, None)
+            label[b] = None
             labeledge.pop(b, None)
-            bestedge.pop(b, None)
+            bestedge[b] = None
             del blossomparent[b]
             del blossombase[b]
             del blossomdual[b]
@@ -451,7 +476,7 @@ def max_weight_matching_arrays(
         for k in range(nedge):
             i = endpoint_u[k]
             j = endpoint_v[k]
-            s = dualvar[i] + dualvar[j] - 2 * weight_of[k]
+            s = dualvar[i] + dualvar[j] - twice_w[k]
             iblossoms = [i]
             jblossoms = [j]
             while blossomparent[iblossoms[-1]] is not None:
@@ -478,18 +503,17 @@ def max_weight_matching_arrays(
 
     # Main loop: one stage per augmentation.
     while 1:
-        label.clear()
+        label[:] = [None] * len(label)
         labeledge.clear()
-        bestedge.clear()
+        bestedge[:] = [None] * len(bestedge)
         for b in blossomdual:
             mybestedges[b] = None
-        for k in range(nedge):
-            allowedge[k] = False
+        allowedge[:] = no_edges
         queue[:] = []
 
         # Label single blossoms/vertices with S and put them in the queue.
         for v in range(n):
-            if (v not in mate) and label.get(inblossom[v]) is None:
+            if (v not in mate) and label[inblossom[v]] is None:
                 assign_label(v, 1, _NO_NODE, -1)
 
         augmented = 0
@@ -497,45 +521,55 @@ def max_weight_matching_arrays(
             # Substage: grow the structure until augmentation or a dual update.
             while queue and not augmented:
                 v = queue.pop()
-                assert label[inblossom[v]] == 1
+                # Only add_blossom moves v to another blossom while its
+                # edges are scanned, so bv is re-read after that call alone.
+                bv = inblossom[v]
+                assert label[bv] == 1
+                dv = dualvar[v]
 
                 for k, w in adjacency[v]:
-                    bv = inblossom[v]
                     bw = inblossom[w]
                     if bv == bw:
                         # this edge is internal to a blossom; ignore it
                         continue
+                    lbw = label[bw]
                     if not allowedge[k]:
                         # Inlined slack(k): addition is commutative, so
                         # summing from v's side is bit-identical.
-                        kslack = dualvar[v] + dualvar[w] - 2 * weight_of[k]
+                        kslack = dv + dualvar[w] - twice_w[k]
                         if kslack <= 0:
                             allowedge[k] = True
-                    if allowedge[k]:
-                        if label.get(bw) is None:
-                            # w is free; label w with T and its mate with S.
-                            assign_label(w, 2, v, k)
-                        elif label.get(bw) == 1:
-                            # w is an S-vertex: new blossom or augmenting path.
-                            base = scan_blossom(v, w)
-                            if base != _NO_NODE:
-                                add_blossom(base, v, w, k)
-                            else:
-                                augment_matching(v, w, k)
-                                augmented = 1
-                                break
-                        elif label.get(w) is None:
-                            assert label[bw] == 2
-                            label[w] = 2
-                            labeledge[w] = (v, w, k)
-                    elif label.get(bw) == 1:
-                        # Track the least-slack edge to a different S-blossom.
-                        if bestedge.get(bv) is None or kslack < slack(bestedge[bv][2]):
-                            bestedge[bv] = (v, w, k)
-                    elif label.get(w) is None:
-                        # Track the least-slack edge reaching the free vertex w.
-                        if bestedge.get(w) is None or kslack < slack(bestedge[w][2]):
-                            bestedge[w] = (v, w, k)
+                        else:
+                            if lbw == 1:
+                                # Track the least-slack edge to a different
+                                # S-blossom.
+                                if bestedge[bv] is None or kslack < bestslack[bv]:
+                                    bestedge[bv] = (v, w, k)
+                                    bestslack[bv] = kslack
+                            elif label[w] is None:
+                                # Track the least-slack edge reaching the
+                                # free vertex w.
+                                if bestedge[w] is None or kslack < bestslack[w]:
+                                    bestedge[w] = (v, w, k)
+                                    bestslack[w] = kslack
+                            continue
+                    if lbw is None:
+                        # w is free; label w with T and its mate with S.
+                        assign_label(w, 2, v, k)
+                    elif lbw == 1:
+                        # w is an S-vertex: new blossom or augmenting path.
+                        base = scan_blossom(v, w)
+                        if base != _NO_NODE:
+                            add_blossom(base, v, w, k)
+                            bv = inblossom[v]
+                        else:
+                            augment_matching(v, w, k)
+                            augmented = 1
+                            break
+                    elif label[w] is None:
+                        assert lbw == 2
+                        label[w] = 2
+                        labeledge[w] = (v, w, k)
 
             if augmented:
                 break
@@ -552,8 +586,8 @@ def max_weight_matching_arrays(
             # delta2: minimum slack on any edge from an S-vertex to a
             # free one.
             for v in range(n):
-                if label.get(inblossom[v]) is None and bestedge.get(v) is not None:
-                    d = slack(bestedge[v][2])
+                if label[inblossom[v]] is None and bestedge[v] is not None:
+                    d = bestslack[v]
                     if deltatype == -1 or d < delta:
                         delta = d
                         deltatype = 2
@@ -563,10 +597,10 @@ def max_weight_matching_arrays(
             for b in blossomparent:
                 if (
                     blossomparent[b] is None
-                    and label.get(b) == 1
-                    and bestedge.get(b) is not None
+                    and label[b] == 1
+                    and bestedge[b] is not None
                 ):
-                    kslack = slack(bestedge[b][2])
+                    kslack = bestslack[b]
                     if allinteger:
                         assert (kslack % 2) == 0
                         d = kslack // 2
@@ -581,7 +615,7 @@ def max_weight_matching_arrays(
             for b in blossomdual:
                 if (
                     blossomparent[b] is None
-                    and label.get(b) == 2
+                    and label[b] == 2
                     and (deltatype == -1 or blossomdual[b] < delta)
                 ):
                     delta = blossomdual[b]
@@ -596,17 +630,21 @@ def max_weight_matching_arrays(
 
             # Update dual variables according to delta.
             for v in range(n):
-                vlabel = label.get(inblossom[v])
+                vlabel = label[inblossom[v]]
                 if vlabel == 1:
                     dualvar[v] -= delta
                 elif vlabel == 2:
                     dualvar[v] += delta
             for b in blossomdual:
                 if blossomparent[b] is None:
-                    if label.get(b) == 1:
+                    if label[b] == 1:
                         blossomdual[b] += delta
-                    elif label.get(b) == 2:
+                    elif label[b] == 2:
                         blossomdual[b] -= delta
+            # The duals moved: refresh every cached best-edge slack.
+            for x, edge in enumerate(bestedge):
+                if edge is not None:
+                    bestslack[x] = slack(edge[2])
 
             # Take action at the point where the minimum delta occurred.
             if deltatype == 1:
@@ -635,7 +673,7 @@ def max_weight_matching_arrays(
         for b in list(blossomdual.keys()):
             if b not in blossomdual:
                 continue  # already expanded
-            if blossomparent[b] is None and label.get(b) == 1 and blossomdual[b] == 0:
+            if blossomparent[b] is None and label[b] == 1 and blossomdual[b] == 0:
                 expand_blossom(b, True)
 
     if allinteger:

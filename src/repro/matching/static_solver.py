@@ -33,8 +33,9 @@ The per-round blossom solve is pluggable through :data:`SOLVER_BACKENDS`
     :func:`repro.matching.blossom.max_weight_matching_arrays` — the same
     Galil algorithm on flat int-indexed arrays, behaviour-identical to the
     NetworkX implementation (same matchings, not merely equal weight), about
-    2x faster per round before memoisation.  ``"numba"`` is a legacy alias,
-    kept so stored specs naming the retired compiled leg still load.
+    4-5x faster per round before memoisation (``BENCH_solver.json``).
+    ``"numba"`` is a legacy alias, kept so stored specs naming the retired
+    compiled leg still load.
 
 Demand-fingerprint memoisation
 ------------------------------
