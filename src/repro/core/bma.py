@@ -21,19 +21,20 @@ Implementation note (relevant to the paper's execution-time figures): the
 original artifact keeps all of BMA's bookkeeping — per-pair counters,
 usefulness, and the matching itself — as edge attributes of a NetworkX demand
 graph ("We implemented all algorithms in Python leveraging the NetworkX
-library").  We mirror that choice here: every decision walks the NetworkX
-adjacency structure of the affected endpoints.  This is exactly what makes
-BMA noticeably slower than R-BMA (whose per-node caches are plain Python
-sets) and more sensitive to the cache size ``b``, reproducing the runtime
-comparison in the paper.  The algorithmic decisions themselves are
-independent of this storage choice.
+library").  We keep the same structure without the ``nx.Graph`` wrapper: the
+demand graph is the dict-of-dicts adjacency NetworkX keeps internally
+(``node -> neighbour -> shared edge-data dict``, in insertion order), and
+every eviction still walks the adjacency of the affected endpoints.  This is
+exactly what makes BMA noticeably slower than R-BMA (whose per-node caches
+are plain Python sets) and more sensitive to the cache size ``b``,
+reproducing the runtime comparison in the paper.  The algorithmic decisions
+themselves are independent of this storage choice.
 """
 
 from __future__ import annotations
 
 from typing import Optional, Tuple
 
-import networkx as nx
 import numpy as np
 
 from ..config import MatchingConfig
@@ -58,10 +59,9 @@ class BMA(OnlineBMatchingAlgorithm):
         rng: Optional[np.random.Generator | int] = None,
     ):
         super().__init__(topology, config, rng)
-        # Demand graph holding BMA's bookkeeping as NetworkX edge attributes,
-        # mirroring the original implementation (see module docstring).
-        self._demand = nx.Graph()
-        self._demand.add_nodes_from(range(topology.n_racks))
+        # Demand graph holding BMA's bookkeeping as edge-data dicts, one dict
+        # shared by both endpoints' rows (see module docstring).
+        self._adj: dict[int, dict[int, dict]] = {u: {} for u in range(topology.n_racks)}
         self._insertion_clock = 0
 
     # ------------------------------------------------------------------ #
@@ -69,12 +69,12 @@ class BMA(OnlineBMatchingAlgorithm):
     # ------------------------------------------------------------------ #
     def counter(self, pair: NodePair) -> float:
         """Accumulated fixed-network cost of ``pair`` since its last reset."""
-        data = self._demand.get_edge_data(*pair)
+        data = self._adj.get(pair[0], {}).get(pair[1])
         return float(data["counter"]) if data else 0.0
 
     def usefulness(self, pair: NodePair) -> int:
         """Requests served by matched edge ``pair`` since it was added."""
-        data = self._demand.get_edge_data(*pair)
+        data = self._adj.get(pair[0], {}).get(pair[1])
         return int(data["usefulness"]) if data else 0
 
     # ------------------------------------------------------------------ #
@@ -88,19 +88,17 @@ class BMA(OnlineBMatchingAlgorithm):
         request: Request,
     ) -> tuple[Tuple[NodePair, ...], Tuple[NodePair, ...]]:
         u, v = pair
-        demand = self._demand
+        adj = self._adj
         if served_by_matching:
-            demand[u][v]["usefulness"] += 1
+            adj[u][v]["usefulness"] += 1
             return (), ()
 
-        if demand.has_edge(u, v):
-            data = demand[u][v]
-            data["counter"] += length * request.size
+        data = adj[u].get(v)
+        if data is None:
+            data = {"counter": length * request.size, "usefulness": 0, "matched": False, "inserted": 0}
+            adj[u][v] = adj[v][u] = data
         else:
-            demand.add_edge(
-                u, v, counter=length * request.size, usefulness=0, matched=False, inserted=0
-            )
-            data = demand[u][v]
+            data["counter"] += length * request.size
         if data["counter"] < self.config.alpha:
             return (), ()
         return self._saturate(pair, data)
@@ -109,7 +107,7 @@ class BMA(OnlineBMatchingAlgorithm):
         """Bring a saturated pair into the matching, evicting where needed."""
         added: list[NodePair] = []
         removed: list[NodePair] = []
-        adj = self._demand._adj
+        adj = self._adj
         for endpoint in pair:
             if self.matching.degree(endpoint) >= self.config.b:
                 victim = self._select_victim(endpoint)
@@ -129,13 +127,14 @@ class BMA(OnlineBMatchingAlgorithm):
         return tuple(added), tuple(removed)
 
     def serve_batch(self, requests) -> None:
-        """Batched replay: demand-graph bookkeeping without NetworkX wrappers.
+        """Batched replay over the same dict-of-dicts demand graph.
 
-        Operates on the *same* demand graph as :meth:`serve` — it reads and
-        writes ``Graph._adj`` (the dict-of-dicts NetworkX itself maintains),
-        so eviction scans and counter resets see identical state in identical
-        order; only the per-request wrapper objects (Request, ServeOutcome,
-        AtlasView) are skipped.
+        Operates on the *same* adjacency as :meth:`serve` (the structure
+        NetworkX itself maintains, without the ``nx.Graph`` wrapper), so
+        eviction scans and counter resets see identical state in identical
+        order; only the per-request wrapper objects (Request, ServeOutcome)
+        are skipped.  Evictions still walk the endpoints' adjacency, which
+        keeps BMA slower than R-BMA and sensitive to ``b``.
         """
         matching = self.matching
         edge_keys = getattr(matching, "edge_keys", None)
@@ -149,7 +148,7 @@ class BMA(OnlineBMatchingAlgorithm):
         los = lo.tolist()
         his = hi.tolist()
 
-        adj = self._demand._adj
+        adj = self._adj
         saturate = self._saturate
         alpha = self.config.alpha
         b = self.config.b
@@ -199,12 +198,12 @@ class BMA(OnlineBMatchingAlgorithm):
     def _select_victim(self, endpoint: int) -> NodePair:
         """Matched edge at ``endpoint`` with least usefulness (ties: oldest).
 
-        Walks the NetworkX adjacency of the endpoint, as the original
+        Walks the demand-graph adjacency of the endpoint, as the original
         implementation does, filtering for matched edges.
         """
         best: NodePair | None = None
         best_key: tuple[int, int] | None = None
-        for neighbor, data in self._demand._adj[endpoint].items():
+        for neighbor, data in self._adj[endpoint].items():
             if not data.get("matched"):
                 continue
             key = (data["usefulness"], data["inserted"])
@@ -216,11 +215,10 @@ class BMA(OnlineBMatchingAlgorithm):
 
     def _reset_incident_counters(self, endpoint: int) -> None:
         """Zero the counters of every pending pair incident to ``endpoint``."""
-        for _neighbor, data in self._demand._adj[endpoint].items():
+        for _neighbor, data in self._adj[endpoint].items():
             if not data.get("matched"):
                 data["counter"] = 0.0
 
     def _reset_policy_state(self) -> None:
-        self._demand = nx.Graph()
-        self._demand.add_nodes_from(range(self.topology.n_racks))
+        self._adj = {u: {} for u in range(self.topology.n_racks)}
         self._insertion_clock = 0

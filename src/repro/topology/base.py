@@ -1,37 +1,43 @@
 """Topology abstraction and shared distance-matrix machinery.
 
-A :class:`Topology` wraps a NetworkX graph of the fixed (non-reconfigurable)
-network.  The graph may contain auxiliary switch nodes (aggregation, spine,
-core); only *rack* nodes are endpoints of traffic.  Distances between racks
-are computed once with a vectorised BFS (``scipy.sparse.csgraph``) and stored
-in a dense numpy matrix so that per-request lookups are O(1).
+A :class:`Topology` wraps the fixed (non-reconfigurable) network given as an
+adjacency mapping: iterating it yields the nodes in order and ``g[node]``
+yields a node's neighbours.  A plain ``{node: [neighbour, ...]}`` dict is one
+such mapping and so is an ``nx.Graph``; the built-in topologies pass plain
+dicts, so building one needs neither NetworkX nor SciPy.  The network may
+contain auxiliary switch nodes (aggregation, spine, core); only *rack* nodes
+are endpoints of traffic.  Distances between racks are computed once with a
+NumPy BFS, level-synchronous from all racks at once, and stored in a dense
+numpy matrix so that per-request lookups are O(1).
 """
 
 from __future__ import annotations
 
-from typing import Hashable, Iterable, Sequence
+from typing import TYPE_CHECKING, Hashable, Iterable, Mapping, Sequence
 
-import networkx as nx
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import shortest_path
 
 from ..errors import TopologyError
 from ..types import NodePair, canonical_pair
 
-__all__ = ["Topology", "build_distance_matrix"]
+if TYPE_CHECKING:  # pragma: no cover
+    import networkx as nx
+
+__all__ = ["Adjacency", "Topology", "build_distance_matrix"]
+
+#: Node -> neighbours.  Iteration order is node order; ``nx.Graph`` qualifies.
+Adjacency = Mapping[Hashable, Iterable[Hashable]]
 
 
-def build_distance_matrix(
-    graph: nx.Graph, rack_nodes: Sequence[Hashable]
-) -> np.ndarray:
+def build_distance_matrix(graph: Adjacency, rack_nodes: Sequence[Hashable]) -> np.ndarray:
     """Compute the all-pairs shortest-path hop counts between rack nodes.
 
     Parameters
     ----------
     graph:
-        The fixed network, an undirected unweighted graph.  It must be
-        connected at least on the component containing all racks.
+        The fixed network as an adjacency mapping, undirected and
+        unweighted (a link listed under either endpoint counts both ways).
+        It must be connected at least on the component containing all racks.
     rack_nodes:
         The graph nodes acting as racks, in the order in which they map to
         rack ids ``0 .. n-1``.
@@ -48,21 +54,47 @@ def build_distance_matrix(
     """
     if len(rack_nodes) < 2:
         raise TopologyError("a topology needs at least two racks")
-    node_list = list(graph.nodes())
-    index = {node: i for i, node in enumerate(node_list)}
+    index = {node: i for i, node in enumerate(graph)}
     try:
         rack_idx = np.array([index[r] for r in rack_nodes], dtype=np.intp)
-    except KeyError as exc:  # pragma: no cover - defensive
-        raise TopologyError(f"rack node {exc} not present in graph") from exc
+        links = [(i, index[nbr]) for node, i in index.items() for nbr in graph[node]]
+    except KeyError as exc:
+        raise TopologyError(f"node {exc} not present in graph") from exc
 
-    adjacency = nx.to_scipy_sparse_array(graph, nodelist=node_list, format="csr", dtype=np.int8)
-    adjacency = csr_matrix(adjacency)
-    # Single vectorised BFS from every rack; unweighted=True uses BFS rather
-    # than Dijkstra, which is both faster and exact for hop counts.
-    dist_from_racks = shortest_path(
-        adjacency, directed=False, unweighted=True, indices=rack_idx
-    )
-    dist = np.asarray(dist_from_racks)[:, rack_idx]
+    # Both directions of every link as sorted unique keys ``dst * n + src``:
+    # the sources feeding each destination form one contiguous run.  (Not
+    # np.unique: its first call imports numpy.ma, which costs more than the
+    # whole BFS.)
+    n = len(index)
+    pairs = np.array(links, dtype=np.intp).reshape(-1, 2)
+    keys = np.sort(np.concatenate([pairs[:, 0] * n + pairs[:, 1], pairs[:, 1] * n + pairs[:, 0]]))
+    keys = keys[np.diff(keys, prepend=-1) != 0]
+    src = keys % n
+    dst = keys // n
+    starts = np.flatnonzero(np.diff(dst, prepend=-1))
+    targets = dst[starts]
+
+    n_racks = len(rack_idx)
+    rows = np.arange(n_racks)
+    dist = np.full((n_racks, n), np.inf)
+    dist[rows, rack_idx] = 0.0
+    reached = np.zeros((n_racks, n), dtype=bool)
+    reached[rows, rack_idx] = True
+    frontier = reached.copy()
+    level = 0
+    # One BFS level per pass, from every rack at once: a node joins the next
+    # frontier when any of its neighbours is in the current one.
+    while keys.size:
+        level += 1
+        hit = np.zeros_like(frontier)
+        hit[:, targets] = np.logical_or.reduceat(frontier[:, src], starts, axis=1)
+        hit &= ~reached
+        if not hit.any():
+            break
+        dist[hit] = level
+        reached |= hit
+        frontier = hit
+    dist = dist[:, rack_idx]
     if np.isinf(dist).any():
         raise TopologyError("fixed network does not connect all racks")
     return dist.astype(np.float64)
@@ -74,16 +106,16 @@ class Topology:
     Parameters
     ----------
     graph:
-        Undirected NetworkX graph of the fixed network (racks plus any
-        internal switches).
+        Adjacency mapping of the undirected fixed network (racks plus any
+        internal switches); see :data:`Adjacency`.
     rack_nodes:
         Graph nodes that act as racks / ToR switches, in rack-id order.
     name:
         Human-readable topology name used in results and reports.
     """
 
-    def __init__(self, graph: nx.Graph, rack_nodes: Sequence[Hashable], name: str = "custom"):
-        if graph.number_of_nodes() == 0:
+    def __init__(self, graph: Adjacency, rack_nodes: Sequence[Hashable], name: str = "custom"):
+        if len(graph) == 0:
             raise TopologyError("topology graph is empty")
         self._graph = graph
         self._rack_nodes = list(rack_nodes)
@@ -104,8 +136,20 @@ class Topology:
         return len(self._rack_nodes)
 
     @property
-    def graph(self) -> nx.Graph:
-        """The underlying fixed-network graph (read-only by convention)."""
+    def graph(self) -> "nx.Graph":
+        """The fixed network as an ``nx.Graph`` (read-only by convention).
+
+        Built on first access, in the adjacency's node order, when the
+        topology was given a plain mapping.
+        """
+        import networkx as nx
+
+        if not isinstance(self._graph, nx.Graph):
+            adjacency = self._graph
+            graph = nx.Graph()
+            graph.add_nodes_from(adjacency)
+            graph.add_edges_from((u, v) for u in adjacency for v in adjacency[u])
+            self._graph = graph
         return self._graph
 
     @property

@@ -20,39 +20,40 @@ from __future__ import annotations
 import math
 from typing import Optional
 
-import networkx as nx
-
 from ..errors import TopologyError
 from .base import Topology
 
 __all__ = ["FatTreeTopology"]
 
 
-def _fat_tree_graph(k: int) -> tuple[nx.Graph, list[str]]:
-    """Build the k-ary fat-tree switch graph and return it with its ToR list."""
+def _fat_tree_graph(k: int) -> tuple[dict[str, list[str]], list[str]]:
+    """Build the k-ary fat-tree switch adjacency and return it with its ToR list."""
     if k < 2 or k % 2 != 0:
         raise TopologyError(f"fat-tree arity k must be an even integer >= 2, got {k}")
-    g = nx.Graph()
     half = k // 2
-    core = [f"core-{i}-{j}" for i in range(half) for j in range(half)]
-    g.add_nodes_from(core, layer="core")
+    adj: dict[str, list[str]] = {
+        f"core-{i}-{j}": [] for i in range(half) for j in range(half)
+    }
+
+    def link(u: str, v: str) -> None:
+        adj[u].append(v)
+        adj[v].append(u)
 
     tor_nodes: list[str] = []
     for pod in range(k):
         aggs = [f"agg-{pod}-{a}" for a in range(half)]
         edges = [f"edge-{pod}-{e}" for e in range(half)]
-        g.add_nodes_from(aggs, layer="aggregation")
-        g.add_nodes_from(edges, layer="edge")
+        adj.update((node, []) for node in aggs + edges)
         tor_nodes.extend(edges)
         # Full bipartite connection between edge and aggregation inside a pod.
         for agg in aggs:
             for edge in edges:
-                g.add_edge(agg, edge)
+                link(agg, edge)
         # Aggregation switch a of every pod connects to core group a.
         for a, agg in enumerate(aggs):
             for j in range(half):
-                g.add_edge(agg, f"core-{a}-{j}")
-    return g, tor_nodes
+                link(agg, f"core-{a}-{j}")
+    return adj, tor_nodes
 
 
 class FatTreeTopology(Topology):

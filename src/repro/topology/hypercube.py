@@ -7,7 +7,7 @@ Distances are Hamming distances, giving a moderate diameter ``d = log2(n)``.
 
 from __future__ import annotations
 
-import networkx as nx
+import itertools
 
 from ..errors import TopologyError
 from .base import Topology
@@ -23,10 +23,15 @@ class HypercubeTopology(Topology):
             raise TopologyError(f"hypercube dimension must be >= 1, got {dimension}")
         if dimension > 16:
             raise TopologyError(f"hypercube dimension {dimension} is unreasonably large")
-        g = nx.hypercube_graph(dimension)
-        nodes = sorted(g.nodes())
+        # Bit tuples in lexicographic order; neighbours differ in one bit.
+        nodes = list(itertools.product((0, 1), repeat=dimension))
+        adj = {
+            v: [v[:i] + (1 - v[i],) + v[i + 1:] for i in range(dimension)] for v in nodes
+        }
+        if dimension == 1:  # named 0 and 1, not 1-tuples, as in nx.hypercube_graph(1)
+            nodes, adj = [0, 1], {0: [1], 1: [0]}
         self._dimension = dimension
-        super().__init__(g, nodes, name=f"hypercube(d={dimension})")
+        super().__init__(adj, nodes, name=f"hypercube(d={dimension})")
 
     @property
     def dimension(self) -> int:

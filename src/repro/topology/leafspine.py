@@ -9,8 +9,6 @@ online algorithms from distance heterogeneity.
 
 from __future__ import annotations
 
-import networkx as nx
-
 from ..errors import TopologyError
 from .base import Topology
 
@@ -35,16 +33,11 @@ class LeafSpineTopology(Topology):
             raise TopologyError(f"need at least 2 racks, got {n_racks}")
         if n_spines < 1:
             raise TopologyError(f"need at least 1 spine switch, got {n_spines}")
-        g = nx.Graph()
         leaves = [f"leaf-{i}" for i in range(n_racks)]
         spines = [f"spine-{j}" for j in range(n_spines)]
-        g.add_nodes_from(leaves, layer="leaf")
-        g.add_nodes_from(spines, layer="spine")
-        for leaf in leaves:
-            for spine in spines:
-                g.add_edge(leaf, spine)
+        adj = {**{leaf: spines for leaf in leaves}, **{spine: leaves for spine in spines}}
         self._n_spines = n_spines
-        super().__init__(g, leaves, name=f"leaf-spine(racks={n_racks}, spines={n_spines})")
+        super().__init__(adj, leaves, name=f"leaf-spine(racks={n_racks}, spines={n_spines})")
 
     @property
     def n_spines(self) -> int:

@@ -9,8 +9,6 @@ and ablations rather than in the headline experiments.
 
 from __future__ import annotations
 
-import networkx as nx
-
 from ..errors import TopologyError
 from .base import Topology
 
@@ -23,5 +21,5 @@ class RingTopology(Topology):
     def __init__(self, n_racks: int):
         if n_racks < 3:
             raise TopologyError(f"a ring needs at least 3 racks, got {n_racks}")
-        g = nx.cycle_graph(n_racks)
-        super().__init__(g, list(range(n_racks)), name=f"ring(racks={n_racks})")
+        adj = {i: [(i - 1) % n_racks, (i + 1) % n_racks] for i in range(n_racks)}
+        super().__init__(adj, list(range(n_racks)), name=f"ring(racks={n_racks})")

@@ -8,8 +8,6 @@ distance heterogeneity.
 
 from __future__ import annotations
 
-import networkx as nx
-
 from ..errors import TopologyError
 from .base import Topology
 
@@ -29,16 +27,17 @@ class TorusTopology(Topology):
     def __init__(self, rows: int, cols: int):
         if rows < 2 or cols < 2:
             raise TopologyError(f"torus dimensions must be >= 2, got {rows}x{cols}")
-        g = nx.Graph()
         nodes = [(r, c) for r in range(rows) for c in range(cols)]
-        g.add_nodes_from(nodes)
-        for r in range(rows):
-            for c in range(cols):
-                g.add_edge((r, c), ((r + 1) % rows, c))
-                g.add_edge((r, c), (r, (c + 1) % cols))
+        # dict.fromkeys drops the duplicate wrap-around link of a size-2 side.
+        adj = {
+            (r, c): list(dict.fromkeys([
+                ((r - 1) % rows, c), ((r + 1) % rows, c), (r, (c - 1) % cols), (r, (c + 1) % cols)
+            ]))
+            for r, c in nodes
+        }
         self._rows = rows
         self._cols = cols
-        super().__init__(g, nodes, name=f"torus({rows}x{cols})")
+        super().__init__(adj, nodes, name=f"torus({rows}x{cols})")
 
     @property
     def rows(self) -> int:
