@@ -2,7 +2,8 @@
 # sched CI tier: certify the plan -> scheduler -> results-plane stack.
 #   * tests/test_exec_plan.py — execution-plan construction (canonical
 #     specs, shared-trace lockstep groups, store dedupe + intra-plan
-#     aliasing, SO-BMA presolve round-trip), on_error collect/raise
+#     aliasing, SO-BMA demand solved in the task that runs it, pool
+#     dispatch units), on_error collect/raise
 #     semantics, REPRO_WORKERS resolution, provenance stamping, and
 #     serial-backend equivalence with the legacy sequential paths;
 #   * tests/test_exec_queue.py — the pull-based work queue: atomic lease

@@ -21,12 +21,8 @@ import numpy as np
 
 from ..config import MatchingConfig
 from ..errors import ConfigurationError
-from ..matching import (
-    DEFAULT_SOLVER_BACKEND,
-    greedy_b_matching,
-    iterated_max_weight_b_matching,
-    resolve_solver_backend,
-)
+from ..matching import DEFAULT_SOLVER_BACKEND, greedy_b_matching, resolve_solver_backend
+from ..matching.static_solver import _solve_prefix
 from ..topology import Topology
 from ..types import NodePair, Request
 from .base import OnlineBMatchingAlgorithm
@@ -50,7 +46,10 @@ class StaticOfflineBMA(OnlineBMatchingAlgorithm):
         records the requested backend and the kernel that actually ran
         (they differ exactly when the config named the legacy ``"numba"``
         alias, which runs the array kernel), and the simulation engine copies that record into
-        ``RunResult.extra``.
+        ``RunResult.extra``.  A blossom fit also records ``solver_cache``:
+        ``"hit"`` when every round came from the per-process solver memo,
+        so this run solved nothing and its elapsed time holds no solve,
+        else ``"miss"``.
     """
 
     name = "so-bma"
@@ -98,12 +97,13 @@ class StaticOfflineBMA(OnlineBMatchingAlgorithm):
         if self.solver == "blossom":
             requested = self.config.solver_backend
             effective = resolve_solver_backend(requested)
-            chosen = iterated_max_weight_b_matching(
-                weights, self.topology.n_racks, self.config.b, backend=requested
+            chosen, memo_hit = _solve_prefix(
+                weights, self.topology.n_racks, self.config.b, requested
             )
             self.solver_provenance = {
                 "solver_backend": requested or DEFAULT_SOLVER_BACKEND,
                 "solver_kernel": effective,
+                "solver_cache": "hit" if memo_hit else "miss",
             }
         else:
             chosen = greedy_b_matching(weights, self.topology.n_racks, self.config.b)

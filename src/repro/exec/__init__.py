@@ -6,10 +6,9 @@ harness, and the CLI) funnels through the same three layers:
 
 1. **Planner** (:mod:`repro.exec.plan`): :func:`build_execution_plan`
    canonicalizes legacy/structured specs, serves run-store hits before any
-   dispatch, groups shared-trace comparisons into lockstep task groups, and
-   pre-solves offline SO-BMA demand once at ``b_max`` in the parent so the
-   per-process solver memo stops re-solving the same aggregate in every
-   worker.
+   dispatch, and groups shared-trace comparisons into lockstep task
+   groups.  It solves nothing: offline SO-BMA demand is solved in the task
+   that runs it, so the solve is timed in that run's elapsed seconds.
 2. **Scheduler** (:mod:`repro.exec.scheduler`): :data:`SCHEDULER_BACKENDS`
    maps a backend name (``"serial"``, ``"pool"``, ``"queue"``) to a plan
    executor; :func:`execute_plan` dispatches and reassembles results in

@@ -1,4 +1,4 @@
-"""Execution planning: canonicalize, dedupe, group, pre-solve.
+"""Execution planning: canonicalize, dedupe, group.
 
 :func:`build_execution_plan` turns a flat sequence of run specs (legacy
 :class:`~repro.simulation.runner.RunSpec`, structured
@@ -13,13 +13,9 @@
   the shape of every figure panel — are grouped into one
   :class:`PlanTask`, so any backend can generate the shared trace once and
   replay it through each algorithm, exactly as the sequential
-  ``compare_on_shared_trace`` does.
-* **SO-BMA pre-solve.**  For each group, the aggregate demand of its
-  offline ``so-bma`` specs is solved once at the group's ``b_max`` in the
-  parent, and the solved rounds travel with the task
-  (:func:`repro.matching.static_solver.export_solver_rounds`).  Workers
-  seed their per-process solver memo from the payload, so no worker ever
-  re-solves an aggregate the parent already solved.
+  ``compare_on_shared_trace`` does.  Nothing is solved here: an SO-BMA
+  spec solves its demand inside the task that runs it, so the solve is
+  timed as that run's ``fit``.
 
 The plan is execution-policy-free: scheduler backends
 (:mod:`repro.exec.scheduler`) decide *where* tasks run, the plan only says
@@ -29,7 +25,6 @@ The plan is execution-policy-free: scheduler backends
 from __future__ import annotations
 
 import json
-import logging
 from collections import OrderedDict
 from dataclasses import dataclass, replace
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
@@ -37,7 +32,6 @@ from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 from ..errors import ConfigurationError
 from ..experiments.observers import SimulationObserver
 from ..experiments.specs import ExperimentSpec
-from ..simulation import parallel as parallel_mod
 from ..simulation.results import RunResult
 from ..simulation.runner import AnySpec, _store_eligible, as_experiment_spec
 from ..store.fingerprint import fingerprint_spec
@@ -50,8 +44,6 @@ __all__ = [
     "ExecutionPlan",
     "build_execution_plan",
 ]
-
-logger = logging.getLogger(__name__)
 
 #: Valid ``on_error`` policies: ``"raise"`` propagates the first failure
 #: (legacy behaviour), ``"collect"`` returns a :class:`RunFailure` record in
@@ -94,11 +86,8 @@ class PlanTask:
 
     ``specs`` are canonicalized, seeded, single-repetition
     :class:`ExperimentSpec` objects; ``indices`` are their positions in the
-    plan's input.  ``solver`` carries zero or more
-    :func:`~repro.matching.static_solver.export_solver_rounds` payloads
-    (one per distinct SO-BMA backend/topology in the group); pre-built
-    traces never travel — workers rebuild them deterministically from the
-    specs.
+    plan's input.  Pre-built traces never travel — workers rebuild them
+    deterministically from the specs.
     """
 
     task_id: str
@@ -106,7 +95,6 @@ class PlanTask:
     specs: Tuple[ExperimentSpec, ...]
     fingerprints: Tuple[Optional[str], ...]
     group: str
-    solver: Tuple[Dict[str, Any], ...] = ()
 
     def to_payload(self) -> Dict[str, Any]:
         """JSON-safe task description (what travels to queue workers)."""
@@ -117,19 +105,17 @@ class PlanTask:
             "specs": [spec.to_dict() for spec in self.specs],
             "fingerprints": list(self.fingerprints),
             "group": self.group,
-            "solver": [dict(p) for p in self.solver],
         }
 
     @classmethod
     def from_payload(cls, payload: Mapping[str, Any]) -> "PlanTask":
-        """Inverse of :meth:`to_payload` (the in-memory ``trace`` is not shipped)."""
+        """Inverse of :meth:`to_payload`; unknown keys are ignored."""
         return cls(
             task_id=str(payload["id"]),
             indices=tuple(int(i) for i in payload["indices"]),
             specs=tuple(ExperimentSpec.from_dict(d) for d in payload["specs"]),
             fingerprints=tuple(payload["fingerprints"]),
             group=str(payload.get("group", "")),
-            solver=tuple(dict(p) for p in payload.get("solver", ())),
         )
 
 
@@ -170,7 +156,6 @@ class ExecutionPlan:
             "cached": len(self.cached),
             "aliased": len(self.aliases),
             "tasks": len(self.tasks),
-            "presolved": sum(len(task.solver) for task in self.tasks),
         }
 
 
@@ -193,78 +178,12 @@ def _group_key(spec: ExperimentSpec) -> Optional[Tuple[str, str, int]]:
     return (spec.traffic.name.strip().lower(), params, spec.seed)
 
 
-def _presolve_task(specs: Sequence[ExperimentSpec]) -> Tuple[Dict[str, Any], ...]:
-    """Solved SO-BMA rounds for a task group (empty when nothing applies).
-
-    Solves each distinct (effective solver backend, topology) demand once at
-    the group's ``b_max``; the exported payloads ship to workers and, as a
-    side effect, warm the parent's own solver memo.  The pre-solve trace
-    seeds the per-process trace cache, so serial execution replays it
-    instead of regenerating it.  Pre-solving is an optimisation: a failure
-    here is logged and the real execution path surfaces the error with full
-    spec context.
-    """
-    from ..experiments.specs import _algorithm_registry
-    from ..matching import static_solver
-
-    if static_solver._cache_limit() == 0:
-        return ()
-    offline: List[ExperimentSpec] = []
-    for spec in specs:
-        if spec.seed is None:
-            continue  # the parent's trace draw would differ from the worker's
-        try:
-            if _algorithm_registry().canonical(spec.algorithm.name) != "so-bma":
-                continue
-        except ConfigurationError:
-            continue  # unknown algorithm: execution reports it with spec context
-        if str(spec.algorithm.params.get("solver", "blossom")).lower() != "blossom":
-            continue
-        offline.append(spec)
-    if not offline:
-        return ()
-    payloads: List[Dict[str, Any]] = []
-    try:
-        trace = offline[0].build_trace()
-        parallel_mod._share_trace(offline[0], trace)
-        buckets: "OrderedDict[Tuple[str, str], List[ExperimentSpec]]" = OrderedDict()
-        for spec in offline:
-            effective = static_solver.resolve_solver_backend(
-                spec.algorithm.solver_backend
-            )
-            topo_key = json.dumps(
-                {"name": spec.topology.name, "params": dict(spec.topology.params)},
-                sort_keys=True,
-                default=repr,
-            )
-            buckets.setdefault((effective, topo_key), []).append(spec)
-        for (effective, _topo_key), bucket in buckets.items():
-            spec = bucket[0]
-            topology = spec.build_topology(trace)
-            algorithm = spec.build_algorithm(topology, spec.run_seeds()[1])
-            weights = algorithm.aggregate_demand(trace)
-            b_max = max(s.algorithm.b for s in bucket)
-            payloads.append(
-                static_solver.export_solver_rounds(
-                    weights, topology.n_racks, b_max, backend=effective
-                )
-            )
-    except Exception:  # noqa: BLE001 - logged; execution re-raises with context
-        logger.warning(
-            "SO-BMA pre-solve failed for %s; execution will solve it instead",
-            offline[0].label,
-            exc_info=True,
-        )
-    return tuple(payloads)
-
-
 def build_execution_plan(
     specs: Sequence[AnySpec],
     *,
     store=None,
     on_error: str = "raise",
     observers: Sequence[SimulationObserver] = (),
-    presolve: bool = True,
 ) -> ExecutionPlan:
     """Build the execution plan for ``specs`` (see module docstring).
 
@@ -286,9 +205,6 @@ def build_execution_plan(
         every run, so their presence disables store read-hits and duplicate
         aliasing (writes still happen); only the serial backend can honour
         them.
-    presolve:
-        Solve shared SO-BMA demand in the parent and attach the rounds to
-        each task (default).  Disable to measure worker-side solving.
     """
     if on_error not in ON_ERROR_MODES:
         raise ConfigurationError(
@@ -333,7 +249,6 @@ def build_execution_plan(
             label = f"{task_specs[0].traffic.name}/seed={task_specs[0].seed}"
         else:
             label = task_specs[0].label
-        solver = _presolve_task(task_specs) if presolve else ()
         tasks.append(
             PlanTask(
                 task_id=f"t{k:04d}",
@@ -341,7 +256,6 @@ def build_execution_plan(
                 specs=task_specs,
                 fingerprints=tuple(fingerprints[i] for i in indices),
                 group=label,
-                solver=solver,
             )
         )
 

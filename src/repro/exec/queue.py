@@ -22,8 +22,8 @@ sockets — so any process that can see the filesystem can help drain it
     worker) or the terminal error with the failing spec's JSON intact.
 
 Workers execute whole task groups in lockstep (shared trace built once per
-task) and seed their solver memo from the plan's pre-solved SO-BMA rounds,
-so results are bit-identical to serial execution — including after a worker
+task, SO-BMA demand solved in the worker, inside the runs that use it), so
+results are bit-identical to serial execution — including after a worker
 is killed mid-task and its lease requeues.
 
 Failure semantics: queue IO goes through :mod:`repro.ioutil` (bounded
@@ -543,9 +543,6 @@ def _process_claim(
     heartbeat.start()
     try:
         task = PlanTask.from_payload(payload)
-        from .scheduler import _import_solver_payloads
-
-        _import_solver_payloads(task.solver)
         outcomes = run_task_specs(
             task.specs, collect=(queue.on_error == "collect"), max_attempts=1
         )

@@ -7,13 +7,18 @@ a seed; :func:`run_task_specs` executes such a group in one process:
   through every algorithm in lockstep (:func:`run_shared_stream`, the
   engine behind the sequential ``compare_on_shared_trace``);
 * otherwise the shared trace is materialized once — or taken from the
-  per-process trace cache, which the planner's SO-BMA pre-solve seeds — and
-  each spec replays it (bit-identical to the streamed path and to fully
-  independent execution, since the trace depends only on the traffic spec
-  and the spawned seed).
+  per-process trace cache — and each spec replays it (bit-identical to the
+  streamed path and to fully independent execution, since the trace depends
+  only on the traffic spec and the spawned seed).
+
+SO-BMA specs solve their aggregate demand here, in the task that runs them:
+the solve is the algorithm's ``fit``, so it is timed in the run's
+``total_elapsed_seconds``, and specs of one task sharing a demand reuse
+the per-process solver memo.
 
 The serial and queue backends call it once per task group; pool workers
-call it once per spec (:func:`repro.simulation.parallel._worker`).
+call it once per dispatch unit — one spec, or a task's SO-BMA specs
+together (:func:`repro.simulation.parallel._worker`).
 
 Failures follow the :class:`~repro.errors.WorkerExecutionError` contract —
 the failing spec's JSON travels in the message — and ``collect`` turns

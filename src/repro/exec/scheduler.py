@@ -12,9 +12,10 @@ a plan executor:
 ``"pool"``
     Process-pool fan-out (:func:`repro.simulation.parallel._execute_batch`):
     groups are flattened to per-spec units in group-consecutive order so
-    chunked dispatch keeps per-worker trace caches warm, each unit runs
-    ``run_task_specs`` on a one-spec task, and the plan's pre-solved SO-BMA
-    rounds ship to every worker via the pool initializer.
+    chunked dispatch keeps per-worker trace caches warm, and each unit runs
+    ``run_task_specs``.  A task's full-trace specs (SO-BMA) stay together as
+    one unit, dispatched first, so one worker solves their shared demand
+    once, inside the runs it is timed for.
 ``"queue"``
     The file-based pull scheduler (:mod:`repro.exec.queue`): tasks are JSON
     files claimed via atomic renames, independently launched
@@ -30,15 +31,15 @@ queue workers write their own results and the parent merges).
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass, replace
-from typing import Dict, List, Optional, Sequence, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
-from ..errors import SimulationError, WorkerExecutionError
+from ..errors import ConfigurationError, SimulationError, WorkerExecutionError
 from ..experiments.registry import Registry
+from ..experiments.specs import ExperimentSpec, _algorithm_registry
 from ..simulation import parallel as parallel_mod
 from ..simulation.results import RunResult
-from .plan import ExecutionPlan, RunFailure
+from .plan import ExecutionPlan, PlanTask, RunFailure
 
 __all__ = [
     "SCHEDULER_BACKENDS",
@@ -52,8 +53,6 @@ __all__ = [
 #: Environment variable consulted when no explicit worker count is given
 #: (mirrors ``REPRO_RUN_STORE``/``REPRO_RNG_MODE``; explicit argument wins).
 ENV_WORKERS = parallel_mod.ENV_WORKERS
-
-logger = logging.getLogger(__name__)
 
 #: Name -> plan-executor registry for scheduler backends.
 SCHEDULER_BACKENDS: Registry = Registry("scheduler backend")
@@ -185,23 +184,6 @@ class _ResultsPlane:
         return out
 
 
-def _import_solver_payloads(payloads: Sequence[dict]) -> None:
-    """Seed this process's solver memo from a task's pre-solved rounds.
-
-    Pre-solving is an optimisation: a payload that fails to import is
-    logged and skipped, and the run solves that demand itself.
-    """
-    if not payloads:
-        return
-    from ..matching.static_solver import import_solver_rounds
-
-    for payload in payloads:
-        try:
-            import_solver_rounds(payload)
-        except Exception:  # noqa: BLE001 - logged; execution re-solves
-            logger.warning("skipping unusable solver payload", exc_info=True)
-
-
 @SCHEDULER_BACKENDS.register("serial")
 def _run_serial(plan: ExecutionPlan, options: ExecOptions, plane: _ResultsPlane) -> None:
     """In-process execution: ``run_task_specs`` per task group.
@@ -213,8 +195,6 @@ def _run_serial(plan: ExecutionPlan, options: ExecOptions, plane: _ResultsPlane)
 
     collect = plan.on_error == "collect"
     for task in plan.tasks:
-        _import_solver_payloads(task.solver)
-    for task in plan.tasks:
         outcomes = runtime.run_task_specs(
             task.specs,
             observers=plan.observers,
@@ -225,33 +205,70 @@ def _run_serial(plan: ExecutionPlan, options: ExecOptions, plane: _ResultsPlane)
             plane.deliver(index, outcome, attempts)
 
 
+def _requires_full_trace(spec: ExperimentSpec) -> bool:
+    """Whether the spec's algorithm class declares ``requires_full_trace``.
+
+    An unknown algorithm counts as online: it stays a solo unit, and its
+    execution reports the error with the spec's context.
+    """
+    try:
+        factory = _algorithm_registry().resolve(spec.algorithm.name)
+    except ConfigurationError:
+        return False
+    return bool(getattr(factory, "requires_full_trace", False))
+
+
+def _pool_units(
+    tasks: Sequence[PlanTask],
+) -> List[Tuple[Tuple[int, ...], Tuple[ExperimentSpec, ...]]]:
+    """Pool dispatch units as ``(indices, specs)``, full-trace units first.
+
+    Every spec is its own unit, except that each task's full-trace specs
+    (SO-BMA) form one unit, so the worker running it solves their shared
+    demand once in its per-process memo.  Those units lead the dispatch
+    order because they hold the panel's longest solves; the rest keep
+    group-consecutive order so per-worker trace caches stay warm.
+    """
+    first: List[Tuple[Tuple[int, ...], Tuple[ExperimentSpec, ...]]] = []
+    rest: List[Tuple[Tuple[int, ...], Tuple[ExperimentSpec, ...]]] = []
+    for task in tasks:
+        full = [_requires_full_trace(spec) for spec in task.specs]
+        if any(full):
+            first.append((
+                tuple(i for i, f in zip(task.indices, full) if f),
+                tuple(s for s, f in zip(task.specs, full) if f),
+            ))
+        rest.extend(
+            ((i,), (s,)) for i, s, f in zip(task.indices, task.specs, full) if not f
+        )
+    return first + rest
+
+
 @SCHEDULER_BACKENDS.register("pool")
 def _run_pool(plan: ExecutionPlan, options: ExecOptions, plane: _ResultsPlane) -> None:
-    """Process-pool fan-out over per-spec units, group-consecutive order.
+    """Process-pool fan-out over :func:`_pool_units`.
 
     Observers are not shipped to pool workers (entry points route
     observer-carrying runs to the serial backend).  Lockstep stream groups
-    flatten to independent per-spec units here — each worker materializes
-    its trace from the spec, which is bit-identical by the sharding
-    contract.
+    flatten to independent units here — each worker materializes its trace
+    from the spec, which is bit-identical by the sharding contract.
     """
     if not plan.tasks:
         return
-    indices = [i for task in plan.tasks for i in task.indices]
-    payloads = [dict(p) for task in plan.tasks for p in task.solver]
+    units = _pool_units(plan.tasks)
     parallel_mod._set_exec_context(
-        solver_rounds=payloads,
         collect=plan.on_error == "collect",
         max_attempts=options.max_attempts,
     )
     try:
         outcomes = parallel_mod._execute_batch(
-            [plan.specs[i] for i in indices], options.workers, options.chunksize
+            [specs for _indices, specs in units], options.workers, options.chunksize
         )
     finally:
         parallel_mod._reset_exec_context()
-    for index, (outcome, attempts) in zip(indices, outcomes):
-        plane.deliver(index, outcome, attempts)
+    for (indices, _specs), unit_outcomes in zip(units, outcomes):
+        for index, (outcome, attempts) in zip(indices, unit_outcomes):
+            plane.deliver(index, outcome, attempts)
 
 
 def execute_plan(

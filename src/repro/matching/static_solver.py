@@ -46,13 +46,15 @@ plus residual weights), so a request for ``b = 6`` after ``b = 9`` is a pure
 cache hit and a request for ``b = 9`` after ``b = 3`` only solves rounds
 4..9 — repetitions, benchmark arms, and ``b``-grids that aggregate the same
 trace pay for each blossom round at most once per process.  ``REPRO_SOLVER_CACHE``
-sets the entry limit (default 16; ``0`` disables memoisation).
+sets the entry limit (default 16; ``0`` disables memoisation; an unusable
+value warns and falls back).
 """
 
 from __future__ import annotations
 
 import hashlib
 import os
+import warnings
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Mapping, Optional, Set, Tuple
@@ -223,11 +225,29 @@ _CACHE_STATS = {"hits": 0, "misses": 0, "evictions": 0}
 
 
 def _cache_limit() -> int:
-    """Max memo entries (``REPRO_SOLVER_CACHE``; 0 disables memoisation)."""
+    """Max memo entries (``REPRO_SOLVER_CACHE``; 0 disables memoisation).
+
+    A non-integer value warns and keeps the default of 16; a negative one
+    warns and disables memoisation.
+    """
+    raw = os.environ.get("REPRO_SOLVER_CACHE", "16")
     try:
-        return max(0, int(os.environ.get("REPRO_SOLVER_CACHE", "16")))
+        value = int(raw)
     except ValueError:
+        warnings.warn(
+            f"ignoring REPRO_SOLVER_CACHE={raw!r}: not an integer; using 16",
+            RuntimeWarning,
+            stacklevel=2,
+        )
         return 16
+    if value < 0:
+        warnings.warn(
+            f"REPRO_SOLVER_CACHE={raw!r} is negative; memoisation disabled",
+            RuntimeWarning,
+            stacklevel=2,
+        )
+        return 0
+    return value
 
 
 def _demand_fingerprint(canon: Mapping[NodePair, float], n_nodes: int) -> str:
@@ -323,6 +343,29 @@ def solver_cache_clear() -> None:
         _CACHE_STATS[k] = 0
 
 
+def _solve_prefix(
+    weights: Mapping[NodePair, float],
+    n_nodes: int,
+    b: int,
+    backend: Optional[str],
+) -> Tuple[Set[NodePair], bool]:
+    """:func:`iterated_max_weight_b_matching` plus whether the memo served it.
+
+    The flag is ``True`` when the sweep state already held every round this
+    call needed, so no blossom round was solved; it is read off the state's
+    round count (and exhaustion) before and after extending it.
+    """
+    if b < 1:
+        raise SolverError(f"b must be >= 1, got {b}")
+    effective = resolve_solver_backend(backend)
+    state = _sweep_state(weights, n_nodes, effective)
+    before = (len(state.cumulative), state.exhausted)
+    _extend_state(state, b, effective, n_nodes)
+    chosen = _prefix_result(state, b)
+    check_b_matching(chosen, n_nodes, b)
+    return chosen, (len(state.cumulative), state.exhausted) == before
+
+
 def iterated_max_weight_b_matching(
     weights: Mapping[NodePair, float],
     n_nodes: int,
@@ -342,14 +385,7 @@ def iterated_max_weight_b_matching(
     demand at a smaller ``b`` afterwards is a pure cache hit, a larger ``b``
     only solves the additional rounds.
     """
-    if b < 1:
-        raise SolverError(f"b must be >= 1, got {b}")
-    effective = resolve_solver_backend(backend)
-    state = _sweep_state(weights, n_nodes, effective)
-    _extend_state(state, b, effective, n_nodes)
-    chosen = _prefix_result(state, b)
-    check_b_matching(chosen, n_nodes, b)
-    return chosen
+    return _solve_prefix(weights, n_nodes, b, backend)[0]
 
 
 def solve_b_rounds(
@@ -388,9 +424,8 @@ def export_solver_rounds(
     another process's solver memo: the demand fingerprint (insertion order
     included, since it is the tie-breaking order), the per-round incremental
     matchings, and the residual weights *in insertion order* so further
-    rounds extend identically.  An execution planner can therefore solve the
-    shared SO-BMA demand once in the parent and ship the rounds to every
-    worker, instead of each per-process memo re-solving the same aggregate.
+    rounds extend identically.  A process that imports the payload serves
+    the same demand from its memo, matching for matching, without solving.
     """
     if b_max < 1:
         raise SolverError(f"b_max must be >= 1, got {b_max}")

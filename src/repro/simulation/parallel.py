@@ -25,10 +25,12 @@ Sharding model
   child — so the fan-out works identically whether the platform forks or
   spawns, without relying on inherited module state — and it seeds
   nothing, so worker identity can never leak into results.
-* **One per-spec body.**  A pool unit runs :func:`_worker`, which is
-  :func:`repro.exec.runtime.run_task_specs` on a one-spec task — the same
+* **One task body.**  A pool unit runs :func:`_worker`, which is
+  :func:`repro.exec.runtime.run_task_specs` on the unit's specs — the same
   function the serial backend calls per task group in-process — so retry,
   failure wrapping and trace reuse behave identically on every backend.
+  A unit is one spec, or a task's full-trace (SO-BMA) specs together: they
+  solve their shared demand once, in the worker, inside their own runs.
 * **Per-process caches stay warm.**  Within one worker, consecutive specs
   that share a workload reuse the generated trace (a small LRU keyed by
   traffic spec and trace seed), and :meth:`TopologySpec.build
@@ -124,27 +126,20 @@ _TRACE_CACHE: "OrderedDict[tuple, Any]" = OrderedDict()
 _TRACE_CACHE_MAX = 4
 
 #: Batch-scoped execution context for :func:`_execute_batch`.  Pool workers
-#: receive one spec per call (:func:`_worker`), so scheduler policy
-#: (pre-solved SO-BMA rounds to seed worker solver memos, collect-vs-raise
-#: error handling, retry budget) travels out of band: the scheduler sets it
-#: around a batch, and the pool initializer ships a snapshot to every child
-#: via ``initargs``.
+#: receive one unit of specs per call (:func:`_worker`), so scheduler policy
+#: (collect-vs-raise error handling, retry budget) travels out of band: the
+#: scheduler sets it around a batch, and the pool initializer ships a
+#: snapshot to every child via ``initargs``.
 _DEFAULT_EXEC_CONTEXT: Dict[str, Any] = {
-    "solver_rounds": (),
     "collect": False,
     "max_attempts": 1,
 }
 _EXEC_CONTEXT: Dict[str, Any] = dict(_DEFAULT_EXEC_CONTEXT)
 
 
-def _set_exec_context(
-    solver_rounds: Sequence[Mapping[str, Any]] = (),
-    collect: bool = False,
-    max_attempts: int = 1,
-) -> None:
+def _set_exec_context(collect: bool = False, max_attempts: int = 1) -> None:
     """Install batch policy for subsequent :func:`_execute_batch` calls."""
     _EXEC_CONTEXT.update(
-        solver_rounds=tuple(dict(p) for p in solver_rounds),
         collect=bool(collect),
         max_attempts=max(1, int(max_attempts)),
     )
@@ -163,21 +158,14 @@ def _init_worker(context: Optional[Mapping[str, Any]] = None) -> None:
     required under spawn) and starts from empty per-process caches.  It
     deliberately seeds nothing: all randomness must flow from the specs'
     spawned seeds so results are independent of which worker ran a spec.
-    ``context`` is the parent's :data:`_EXEC_CONTEXT` snapshot; its
-    pre-solved solver rounds seed this process's solver memo so workers
-    never re-solve demand the planner already solved.
+    ``context`` is the parent's :data:`_EXEC_CONTEXT` snapshot.
     """
     from .. import core, topology, traffic  # noqa: F401  (registry population)
-    from ..exec.scheduler import _import_solver_payloads
 
     _TRACE_CACHE.clear()
     _reset_exec_context()
     if context:
-        _EXEC_CONTEXT.update(
-            collect=bool(context.get("collect", False)),
-            max_attempts=max(1, int(context.get("max_attempts", 1))),
-        )
-        _import_solver_payloads(context.get("solver_rounds") or ())
+        _set_exec_context(**context)
 
 
 def _trace_cache_key(spec) -> Optional[tuple]:
@@ -224,24 +212,24 @@ def _describe_spec(spec) -> str:
         return repr(spec)
 
 
-def _worker(spec: ExperimentSpec) -> Tuple[Outcome, int]:
-    """Execute one spec in a pool worker; returns ``(outcome, attempts)``.
+def _worker(unit: Sequence[ExperimentSpec]) -> List[Tuple[Outcome, int]]:
+    """Execute one unit of specs in a pool worker; ``(outcome, attempts)`` each.
 
     The body is the serial backend's per-task function,
-    :func:`repro.exec.runtime.run_task_specs`, on a one-spec task, so a
-    spec fails, retries and reports the same way on either backend: a
-    terminal failure raises :class:`~repro.errors.WorkerExecutionError`
-    carrying the spec's JSON (diagnosable from the parent alone) or, under
-    the batch context's ``collect`` policy, becomes a
-    :class:`~repro.exec.runtime.TaskError` record.
+    :func:`repro.exec.runtime.run_task_specs`, so a spec fails, retries and
+    reports the same way on either backend: a terminal failure raises
+    :class:`~repro.errors.WorkerExecutionError` carrying the spec's JSON
+    (diagnosable from the parent alone) or, under the batch context's
+    ``collect`` policy, becomes a :class:`~repro.exec.runtime.TaskError`
+    record.
     """
     from ..exec.runtime import run_task_specs
 
     return run_task_specs(
-        [spec],
+        unit,
         collect=bool(_EXEC_CONTEXT["collect"]),
         max_attempts=int(_EXEC_CONTEXT["max_attempts"]),
-    )[0]
+    )
 
 
 def _check_picklable(specs: Sequence[AnySpec]) -> None:
@@ -262,26 +250,26 @@ def _check_picklable(specs: Sequence[AnySpec]) -> None:
 
 
 def _execute_batch(
-    specs: Sequence[ExperimentSpec], workers: int, chunksize: Optional[int]
-) -> List[Tuple[Outcome, int]]:
-    """Run ``specs`` in-process or across a pool, preserving input order.
+    units: Sequence[Sequence[ExperimentSpec]], workers: int, chunksize: Optional[int]
+) -> List[List[Tuple[Outcome, int]]]:
+    """Run ``units`` in-process or across a pool, preserving input order.
 
     The pool backend's dispatch seam, with batch policy carried by
-    :data:`_EXEC_CONTEXT`.  Returns one ``(outcome, attempts)`` pair per
-    spec.
+    :data:`_EXEC_CONTEXT`.  Returns the ``(outcome, attempts)`` pairs of
+    each unit, one per spec.
     """
-    if workers == 1 or len(specs) == 1:
-        return [_worker(spec) for spec in specs]
-    _check_picklable(specs)
+    if workers == 1 or len(units) == 1:
+        return [_worker(unit) for unit in units]
+    _check_picklable([spec for unit in units for spec in unit])
     if chunksize is None:
-        chunksize = default_chunksize(len(specs), workers)
+        chunksize = default_chunksize(len(units), workers)
     ctx = mp.get_context("spawn") if os.name == "nt" else mp.get_context()
     with ctx.Pool(
         processes=workers,
         initializer=_init_worker,
         initargs=(dict(_EXEC_CONTEXT),),
     ) as pool:
-        return list(pool.map(_worker, list(specs), chunksize=chunksize))
+        return list(pool.map(_worker, [list(unit) for unit in units], chunksize=chunksize))
 
 
 def run_specs_parallel(
@@ -297,8 +285,7 @@ def run_specs_parallel(
 
     A thin shim over the execution stack: builds an
     :class:`~repro.exec.plan.ExecutionPlan` (run-store hits served before
-    any dispatch, shared-workload specs grouped, offline SO-BMA demand
-    pre-solved once in the parent) and hands it to
+    any dispatch, shared-workload specs grouped) and hands it to
     :func:`~repro.exec.scheduler.execute_plan`.
 
     Parameters
@@ -312,7 +299,8 @@ def run_specs_parallel(
         in-process execution (useful under debuggers and on single-CPU
         hosts, where a pool would only add overhead).
     chunksize:
-        Number of specs handed to a pool worker at a time; defaults to
+        Number of dispatch units (one spec, or a task's SO-BMA specs
+        together) handed to a pool worker at a time; defaults to
         :func:`default_chunksize`, which keeps per-worker caches warm when
         many small specs are submitted.
     store:

@@ -293,8 +293,8 @@ class ExperimentRunner:
         :meth:`compare_on_shared_trace`: builds an
         :class:`~repro.exec.plan.ExecutionPlan` (store hits served before
         dispatch, specs sharing a workload and seed grouped into one task,
-        offline SO-BMA demand pre-solved once) and runs it on the resolved
-        scheduler backend.  Observers ride along only on the serial
+        SO-BMA demand solved inside the task that runs it) and runs it on
+        the resolved scheduler backend.  Observers ride along only on the serial
         backend — they cannot cross a process boundary — matching the
         long-standing pool semantics.
         """

@@ -3,8 +3,8 @@ plane contract (see :mod:`repro.exec`).
 
 * :func:`build_execution_plan` canonicalizes mixed spec inputs, serves
   run-store hits before dispatch, aliases duplicate fingerprints within a
-  plan, groups shared-workload specs into lockstep tasks, and pre-solves
-  SO-BMA demand once in the parent.
+  plan, and groups shared-workload specs into lockstep tasks; SO-BMA
+  demand is solved in the task that runs it, never in the planner.
 * :func:`execute_plan` on the ``serial`` backend is the reference: results
   must be bit-identical to the legacy sequential paths, every computed
   result carries ``extra["scheduler_backend"]``/``["attempts"]``
@@ -13,27 +13,28 @@ plane contract (see :mod:`repro.exec`).
 * ``REPRO_WORKERS`` supplies worker-count defaults (explicit wins).
 
 Pure-logic and serial-backend tests run everywhere; nothing here spawns a
-pool or a subprocess (the subprocess-backed queue tier lives in
+pool or a subprocess (the pool backend runs in-process with one worker) (the subprocess-backed queue tier lives in
 ``tests/test_exec_queue.py`` under the ``sched`` marker).
 """
 
 from __future__ import annotations
 
-import logging
+import json
 from collections import OrderedDict
-from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError, SimulationError, WorkerExecutionError
 from repro.exec import (
+    PlanTask,
     RunFailure,
     build_execution_plan,
     execute_plan,
     resolve_backend_name,
     resolve_worker_count,
 )
+from repro.exec.scheduler import _pool_units
 from repro.experiments import ExperimentSpec
 from repro.matching import static_solver
 from repro.simulation import RunSpec, run_specs_parallel
@@ -55,9 +56,9 @@ def _spec(name="rbma", seed=SEED, **traffic_overrides):
     )
 
 
-def _so_bma_spec(seed=SEED):
+def _so_bma_spec(seed=SEED, b=3):
     return ExperimentSpec(
-        algorithm={"name": "so-bma", "b": 3, "alpha": 4.0},
+        algorithm={"name": "so-bma", "b": b, "alpha": 4.0},
         traffic={"name": "zipf", "params": {"n_nodes": 10, "n_requests": 200}},
         simulation={"checkpoints": 4},
         seed=seed,
@@ -107,7 +108,6 @@ class TestPlanConstruction:
             "cached": 0,
             "aliased": 0,
             "tasks": 2,
-            "presolved": 0,
         }
         assert plan.tasks[0].indices == (0, 1)
         assert plan.tasks[1].indices == (2,)
@@ -119,9 +119,6 @@ class TestPlanConstruction:
 
     def test_task_payload_round_trips_through_json(self):
         plan = build_execution_plan([_spec("rbma"), _spec("bma")], store=False)
-        from repro.exec import PlanTask
-        import json
-
         payload = json.loads(json.dumps(plan.tasks[0].to_payload()))
         rebuilt = PlanTask.from_payload(payload)
         assert rebuilt.task_id == plan.tasks[0].task_id
@@ -159,30 +156,57 @@ class TestStoreDedupe:
         assert len(store.list_runs()) == 2
 
 
-class TestPresolve:
-    def test_so_bma_demand_is_solved_once_in_the_parent(self):
-        static_solver.solver_cache_clear()
-        specs = [_so_bma_spec(), _spec("rbma")]
-        plan = build_execution_plan(specs, store=False)
-        assert plan.describe()["presolved"] == 1
-        after_plan = static_solver.solver_cache_info()
-        assert after_plan["misses"] == 1  # the parent's single pre-solve
-        results = execute_plan(plan, backend="serial")
-        after_run = static_solver.solver_cache_info()
-        # Execution re-used the pre-solved rounds: hits only, no new solve.
-        assert after_run["misses"] == 1
-        assert after_run["hits"] > after_plan["hits"]
-        # And the result is bit-identical to a cold standalone execution.
-        static_solver.solver_cache_clear()
-        _assert_series_identical(results[0], _so_bma_spec().execute())
+class TestSolveInTask:
+    """SO-BMA demand is solved by the task that runs it, never by the planner."""
 
-    def test_presolve_can_be_disabled(self):
-        plan = build_execution_plan([_so_bma_spec()], store=False, presolve=False)
-        assert plan.describe()["presolved"] == 0
+    def test_planning_solves_nothing(self):
+        static_solver.solver_cache_clear()
+        build_execution_plan([_so_bma_spec(), _spec("rbma")], store=False)
+        assert static_solver.solver_cache_info()["misses"] == 0
+
+    @pytest.mark.parametrize("backend", ["serial", "pool"])
+    def test_execution_solves_the_shared_demand_once(self, backend):
+        # Two SO-BMA specs of one task aggregate the same demand; the pool
+        # keeps them in one unit (one worker runs in-process here), so the
+        # memo misses once on either backend.
+        specs = [_so_bma_spec(b=3), _spec("rbma"), _so_bma_spec(b=6)]
+        plan = build_execution_plan(specs, store=False)
+        static_solver.solver_cache_clear()
+        results = execute_plan(plan, backend=backend, n_workers=1)
+        assert static_solver.solver_cache_info()["misses"] == 1
+        assert results[0].extra["scheduler_backend"] == backend
+        static_solver.solver_cache_clear()
+        _assert_series_identical(results[0], _so_bma_spec(b=3).execute())
+        static_solver.solver_cache_clear()
+        _assert_series_identical(results[2], _so_bma_spec(b=6).execute())
+
+    def test_a_cold_solve_is_recorded_as_a_miss(self):
+        static_solver.solver_cache_clear()
+        [result] = execute_plan(
+            build_execution_plan([_so_bma_spec()], store=False), backend="serial"
+        )
+        assert result.extra["solver_cache"] == "miss"
+
+    def test_pool_units_put_a_tasks_so_bma_specs_first_and_together(self):
+        specs = [_spec("rbma"), _so_bma_spec(b=3), _spec("bma"), _so_bma_spec(b=6),
+                 _spec("oblivious", seed=SEED + 1), _spec("no-such-algorithm")]
+        plan = build_execution_plan(specs, store=False)
+        units = _pool_units(plan.tasks)
+        assert [indices for indices, _specs in units] == [
+            (1, 3), (0,), (2,), (5,), (4,)
+        ]
+        assert [s.algorithm.b for s in units[0][1]] == [3, 6]
+
+    def test_v1_payload_with_a_solver_key_still_parses(self):
+        plan = build_execution_plan([_so_bma_spec(), _spec("rbma")], store=False)
+        payload = json.loads(json.dumps(plan.tasks[0].to_payload()))
+        assert "solver" not in payload
+        payload["solver"] = [{"version": 1, "rounds": []}]
+        rebuilt = PlanTask.from_payload(payload)
+        assert rebuilt == plan.tasks[0]
 
     def test_serial_plan_builds_the_shared_trace_once(self, monkeypatch):
-        # The pre-solve's trace seeds the per-process trace cache, and serial
-        # execution must replay it rather than regenerate it.
+        # Every spec of a task replays one trace from the per-process cache.
         monkeypatch.setattr(parallel_mod, "_TRACE_CACHE", OrderedDict())
         static_solver.solver_cache_clear()
         builds = []
@@ -194,53 +218,9 @@ class TestPresolve:
 
         monkeypatch.setattr(ExperimentSpec, "build_trace", counting_build)
         plan = build_execution_plan([_so_bma_spec(), _spec("rbma")], store=False)
-        assert plan.describe()["presolved"] == 1
         results = execute_plan(plan, backend="serial")
         assert all(isinstance(r, RunResult) for r in results)
         assert len(builds) == 1
-
-    def test_presolve_failure_is_logged_and_execution_still_solves(
-        self, monkeypatch, caplog
-    ):
-        static_solver.solver_cache_clear()
-        expected = _so_bma_spec().execute()
-
-        def broken_export(*_args, **_kwargs):
-            raise RuntimeError("solver export unavailable")
-
-        monkeypatch.setattr(static_solver, "export_solver_rounds", broken_export)
-        with caplog.at_level(logging.WARNING, logger="repro.exec.plan"):
-            plan = build_execution_plan([_so_bma_spec()], store=False)
-        assert plan.describe()["presolved"] == 0
-        [record] = [r for r in caplog.records if r.name == "repro.exec.plan"]
-        assert record.exc_info is not None
-        [result] = execute_plan(plan, backend="serial")
-        _assert_series_identical(result, expected)
-
-    def test_corrupt_solver_payload_is_logged_and_run_is_identical(self, caplog):
-        specs = [_so_bma_spec(), _spec("rbma")]
-        static_solver.solver_cache_clear()
-        clean = execute_plan(build_execution_plan(specs, store=False), backend="serial")
-        plan = build_execution_plan(specs, store=False)
-        plan.tasks[0] = replace(plan.tasks[0], solver=({"version": 99},))
-        # Only the (corrupt) payload could spare the run its own solve.
-        static_solver.solver_cache_clear()
-        with caplog.at_level(logging.WARNING, logger="repro.exec.scheduler"):
-            corrupt = execute_plan(plan, backend="serial")
-        [record] = [r for r in caplog.records if r.name == "repro.exec.scheduler"]
-        assert record.exc_info is not None
-        assert "version" in str(record.exc_info[1])
-        for a, b in zip(clean, corrupt):
-            _assert_series_identical(a, b)
-
-    def test_pool_initializer_logs_a_corrupt_solver_payload(self, caplog):
-        try:
-            with caplog.at_level(logging.WARNING, logger="repro.exec.scheduler"):
-                parallel_mod._init_worker({"solver_rounds": [{"version": 99}]})
-        finally:
-            parallel_mod._init_worker()
-        [record] = [r for r in caplog.records if r.name == "repro.exec.scheduler"]
-        assert record.exc_info is not None
 
 
 # --------------------------------------------------------------------------- #

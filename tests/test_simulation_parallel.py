@@ -185,3 +185,53 @@ def test_run_specs_parallel_preserves_order_with_chunking():
     specs = [s.with_seed(7) for s in _panel_specs(("rbma", "oblivious", "greedy"))]
     results = run_specs_parallel(specs * 2, n_workers=2, chunksize=2)
     assert [r.algorithm for r in results] == ["rbma", "oblivious", "greedy"] * 2
+
+
+@pytest.mark.parallel
+def test_pool_solves_a_tasks_so_bma_demand_once(tmp_path, monkeypatch):
+    """A task's SO-BMA specs travel as one unit: across the whole pool their
+    shared demand is solved once, in a worker, and costs match serial."""
+    import functools
+    import json
+    import multiprocessing
+    import os
+
+    from repro.exec import build_execution_plan, execute_plan
+    from repro.matching import solver_cache_info
+    from repro.simulation import parallel as parallel_mod
+
+    if multiprocessing.get_start_method() != "fork":
+        pytest.skip("workers must inherit the counting wrapper")
+    real_worker = parallel_mod._worker
+
+    @functools.wraps(real_worker)
+    def counting_worker(unit):
+        before = solver_cache_info()["misses"]
+        outcomes = real_worker(unit)
+        with open(tmp_path / f"{os.getpid()}.jsonl", "a") as handle:
+            handle.write(json.dumps(solver_cache_info()["misses"] - before) + "\n")
+        return outcomes
+
+    # Pool workers unpickle ``_worker`` by name, so they run the wrapper.
+    monkeypatch.setattr(parallel_mod, "_worker", counting_worker)
+    specs = [
+        ExperimentSpec(
+            algorithm={"name": name, "b": b, "alpha": 4.0},
+            traffic={"name": "zipf", "params": {"n_nodes": 10, "n_requests": 400}},
+            simulation={"checkpoints": 5},
+            seed=17,
+        )
+        for name, b in (("rbma", 3), ("so-bma", 3), ("bma", 3), ("so-bma", 6))
+    ]
+    pooled = execute_plan(
+        build_execution_plan(specs, store=False), backend="pool", n_workers=2
+    )
+    misses = [int(line) for path in tmp_path.glob("*.jsonl")
+              for line in path.read_text().split()]
+    assert len(misses) == 3  # so-bma pair, rbma, bma
+    assert sum(misses) == 1
+    serial = execute_plan(build_execution_plan(specs, store=False), backend="serial")
+    for a, b in zip(serial, pooled):
+        assert a.total_routing_cost == b.total_routing_cost
+        assert np.array_equal(a.series.routing_cost, b.series.routing_cost)
+        assert np.array_equal(a.series.reconfiguration_cost, b.series.reconfiguration_cost)

@@ -17,7 +17,9 @@ SO-BMA's iterated maximum-weight b-matching:
   arithmetic, and an iterated solve of a 100-node demand;
 * prefix-sharing equivalence (``solve_b_rounds`` vs per-``b`` solves);
 * demand-fingerprint memo behaviour (hits, misses, eviction, mutation
-  safety, the ``REPRO_SOLVER_CACHE`` knob);
+  safety, the ``REPRO_SOLVER_CACHE`` knob and its warnings, the
+  ``export_solver_rounds``/``import_solver_rounds`` snapshot pair, the
+  ``solver_cache`` hit/miss record of an SO-BMA run);
 * the legacy ``"numba"`` name: a silent alias of ``"array"`` that shares
   its memo entries;
 * spec/config UX (typo suggestions, JSON round-trips) and
@@ -27,6 +29,7 @@ SO-BMA's iterated maximum-weight b-matching:
 
 import time
 import warnings
+from dataclasses import replace
 
 import networkx as nx
 import numpy as np
@@ -34,7 +37,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.config import MatchingConfig
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, SolverError
 from repro.experiments import AlgorithmSpec, ExperimentSpec
 from repro.matching import (
     DEFAULT_SOLVER_BACKEND,
@@ -46,6 +49,7 @@ from repro.matching import (
     solver_cache_clear,
     solver_cache_info,
 )
+from repro.matching.static_solver import export_solver_rounds, import_solver_rounds
 from repro.matching.blossom import max_weight_matching_arrays
 from repro.matching.validation import check_b_matching
 
@@ -272,6 +276,41 @@ class TestMemo:
         assert info["currsize"] == 0
         assert info["hits"] == 0
 
+    def test_unusable_cache_limit_warns_and_falls_back(self, monkeypatch):
+        weights = {(0, 1): 2.0}
+        monkeypatch.setenv("REPRO_SOLVER_CACHE", "lots")
+        with pytest.warns(RuntimeWarning, match="REPRO_SOLVER_CACHE"):
+            assert solver_cache_info()["maxsize"] == 16
+        monkeypatch.setenv("REPRO_SOLVER_CACHE", "-3")
+        with pytest.warns(RuntimeWarning, match="REPRO_SOLVER_CACHE"):
+            iterated_max_weight_b_matching(weights, 2, 1)
+            assert solver_cache_info()["currsize"] == 0  # negative disables the memo
+        monkeypatch.setenv("REPRO_SOLVER_CACHE", "4")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert solver_cache_info()["maxsize"] == 4
+
+    def test_exported_rounds_import_as_a_pure_hit(self):
+        rng = np.random.default_rng(5)
+        n = 12
+        weights = _random_weights(rng, n, 40)
+        payload = export_solver_rounds(weights, n, 3)
+        expected = [iterated_max_weight_b_matching(weights, n, b) for b in (1, 3, 5)]
+        solver_cache_clear()
+        assert import_solver_rounds(payload)
+        assert [iterated_max_weight_b_matching(weights, n, b) for b in (1, 3)] == (
+            expected[:2]
+        )
+        assert solver_cache_info()["misses"] == 0
+        # A larger b extends from the shipped residual weights identically.
+        assert iterated_max_weight_b_matching(weights, n, 5) == expected[2]
+        assert solver_cache_info()["misses"] == 0
+
+    def test_unknown_payload_version_is_rejected(self):
+        payload = export_solver_rounds({(0, 1): 2.0}, 2, 1)
+        with pytest.raises(SolverError, match="version"):
+            import_solver_rounds({**payload, "version": 99})
+
     def test_insertion_order_is_part_of_the_fingerprint(self):
         # Order is the solver's tie-breaking order, so it must key the memo.
         forward = {(0, 1): 2.0, (2, 3): 3.0}
@@ -353,6 +392,15 @@ class TestSpecAndProvenance:
         assert result_nx.extra["solver_kernel"] == "nx"
         assert result_nx.total_routing_cost == result.total_routing_cost
         assert result_nx.series.routing_cost.tolist() == result.series.routing_cost.tolist()
+
+    def test_run_result_records_whether_the_memo_served_the_solve(self):
+        cold = _so_bma_spec().execute()
+        warm = _so_bma_spec().execute()
+        assert cold.extra["solver_cache"] == "miss"
+        assert warm.extra["solver_cache"] == "hit"  # every round from the memo
+        assert warm.series.routing_cost.tolist() == cold.series.routing_cost.tolist()
+        larger = replace(_so_bma_spec(), algorithm=replace(_so_bma_spec().algorithm, b=5))
+        assert larger.execute().extra["solver_cache"] == "miss"  # rounds 4..5 solved
 
     def test_numba_request_records_fallback_kernel(self):
         result = _so_bma_spec("numba").execute()
