@@ -4,7 +4,7 @@
 # repro.store.run_store.default_store), certifying that every entry point
 # stays green and fully cold when no store is configured:
 #   * execute_experiment_spec / ExperimentRunner / run_experiments /
-#     run_specs_parallel must take their store=None default through
+#     repro.exec.run_specs must take their store=None default through
 #     resolve_store -> default_store -> None without behaviour changes;
 #   * the store test module itself must pass — its tests always name their
 #     stores explicitly (tmp_path), so a disabled default is invisible;

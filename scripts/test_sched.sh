@@ -4,8 +4,9 @@
 #     specs, shared-trace lockstep groups, store dedupe + intra-plan
 #     aliasing, SO-BMA demand solved in the task that runs it, pool
 #     dispatch units), on_error collect/raise
-#     semantics, REPRO_WORKERS resolution, provenance stamping, and
-#     serial-backend equivalence with the legacy sequential paths;
+#     semantics, REPRO_WORKERS resolution, provenance stamping,
+#     repro.exec.run_specs (the one entry point that plans and executes),
+#     and serial-backend equivalence with direct execute_experiment_spec runs;
 #   * tests/test_exec_queue.py — the pull-based work queue: atomic lease
 #     claims (duplicate-claim protection), lease expiry requeuing a dead
 #     worker's task, max_attempts exhaustion surfacing the original

@@ -40,13 +40,7 @@ from .core import available_algorithms
 from .errors import ConfigurationError, ReproError
 from .experiments import ExperimentSpec, ProgressObserver
 from .paging import available_paging_policies
-from .simulation import (
-    ExperimentRunner,
-    aggregate_runs,
-    execute_experiment_spec,
-    run_specs_parallel,
-    run_sweep,
-)
+from .simulation import ExperimentRunner, aggregate_runs, run_sweep
 from .store import (
     group_statistics,
     resolve_store,
@@ -135,7 +129,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="override the spec's repeat count")
     p_run.add_argument("--seed", type=int, default=None, help="override the spec's base seed")
     p_run.add_argument("--progress", action="store_true",
-                       help="print per-checkpoint progress (observer-based)")
+                       help="print per-checkpoint progress (observer-based; "
+                            "serial backend only)")
     p_run.add_argument("--out", default=None,
                        help="write the spec, per-run results, and aggregate as JSON")
     add_stream_flags(p_run)
@@ -328,19 +323,11 @@ def _cmd_run(args: argparse.Namespace) -> int:
     # disabled downstream, hence the False fallback.
     run_store = resolve_store(_store_arg(args))
     store_policy = run_store if run_store is not None else False
-    from .exec import resolve_backend_name, resolve_worker_count
+    from .exec import run_specs
 
-    workers = resolve_worker_count(args.workers, fallback=1)
-    backend = resolve_backend_name(args.backend, workers)
-    if backend != "serial":
-        if args.progress:
-            print("note: --progress is unavailable off the serial backend "
-                  "(observers do not cross process boundaries)", file=sys.stderr)
-        runs = run_specs_parallel(singles, n_workers=workers, store=store_policy,
-                                  backend=backend, queue_dir=args.queue_dir)
-    else:
-        runs = [execute_experiment_spec(s, observers=observers, store=store_policy)
-                for s in singles]
+    runs = run_specs(singles, n_workers=args.workers, backend=args.backend,
+                     store=store_policy, observers=observers,
+                     queue_dir=args.queue_dir)
     if run_store is not None:
         counters = run_store.counters
         print(f"store: {counters.hits} hit(s), {counters.misses} miss(es) "

@@ -1,11 +1,14 @@
 """Unified execution stack: plan -> scheduler -> results plane.
 
-Every execution entry point (``run_many``, ``compare_on_shared_trace``,
-``run_experiments``, ``run_sweep``, ``run_specs_parallel``, the benchmark
-harness, and the CLI) funnels through the same three layers:
+:func:`run_specs` is the one way to run a list of specs: ``run``,
+``run_many`` and ``compare_on_shared_trace`` on the experiment runner,
+``run_experiments``, ``run_sweep``, the benchmark harness and the CLI all
+go through it.  It resolves the worker count (explicit argument, then
+``REPRO_WORKERS``, then 1) and the backend, attaches observers only on the
+serial backend, and drives the same three layers:
 
 1. **Planner** (:mod:`repro.exec.plan`): :func:`build_execution_plan`
-   canonicalizes legacy/structured specs, serves run-store hits before any
+   canonicalizes specs and spec mappings, serves run-store hits before any
    dispatch, and groups shared-trace comparisons into lockstep task
    groups.  It solves nothing: offline SO-BMA demand is solved in the task
    that runs it, so the solve is timed in that run's elapsed seconds.
@@ -31,6 +34,7 @@ from .scheduler import (
     execute_plan,
     resolve_backend_name,
     resolve_worker_count,
+    run_specs,
 )
 
 __all__ = [
@@ -41,6 +45,7 @@ __all__ = [
     "SCHEDULER_BACKENDS",
     "ENV_WORKERS",
     "execute_plan",
+    "run_specs",
     "resolve_backend_name",
     "resolve_worker_count",
     "WorkQueue",

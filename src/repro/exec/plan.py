@@ -1,9 +1,11 @@
 """Execution planning: canonicalize, dedupe, group.
 
-:func:`build_execution_plan` turns a flat sequence of run specs (legacy
-:class:`~repro.simulation.runner.RunSpec`, structured
-:class:`~repro.experiments.specs.ExperimentSpec`, or plain mappings) into an
-:class:`ExecutionPlan`:
+:func:`build_execution_plan` turns a flat sequence of run specs
+(:class:`~repro.experiments.specs.ExperimentSpec` objects or plain mappings)
+into an :class:`ExecutionPlan`.  Inside the library its only caller is
+:func:`repro.exec.run_specs`, which hands the plan to
+:func:`~repro.exec.scheduler.execute_plan`; build a plan directly only to
+inspect it or to pass execution options such as ``chunksize``.  The plan:
 
 * **Store dedupe before dispatch.**  With a run store active, every eligible
   spec is fingerprinted and looked up in the parent; hits never reach a
@@ -27,13 +29,13 @@ from __future__ import annotations
 import json
 from collections import OrderedDict
 from dataclasses import dataclass, replace
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 from ..errors import ConfigurationError
 from ..experiments.observers import SimulationObserver
 from ..experiments.specs import ExperimentSpec
 from ..simulation.results import RunResult
-from ..simulation.runner import AnySpec, _store_eligible, as_experiment_spec
+from ..simulation.runner import _store_eligible, as_experiment_spec
 from ..store.fingerprint import fingerprint_spec
 from ..store.run_store import RunStore, resolve_store
 
@@ -179,7 +181,7 @@ def _group_key(spec: ExperimentSpec) -> Optional[Tuple[str, str, int]]:
 
 
 def build_execution_plan(
-    specs: Sequence[AnySpec],
+    specs: Sequence[Union[ExperimentSpec, Mapping[str, Any]]],
     *,
     store=None,
     on_error: str = "raise",
@@ -190,9 +192,9 @@ def build_execution_plan(
     Parameters
     ----------
     specs:
-        Runs to plan, in result order.  Legacy :class:`RunSpec`, structured
-        :class:`ExperimentSpec`, or mappings; seeds are taken as-is (the
-        caller owns the repetition/seed policy).
+        Runs to plan, in result order: :class:`ExperimentSpec` objects or
+        mappings; seeds are taken as-is (the caller owns the repetition/seed
+        policy).
     store:
         Run-store policy (:func:`repro.store.resolve_store` semantics).
         With a store, eligible specs are fingerprinted and looked up here —

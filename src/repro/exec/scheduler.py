@@ -32,20 +32,22 @@ queue workers write their own results and the parent merges).
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 from ..errors import ConfigurationError, SimulationError, WorkerExecutionError
+from ..experiments.observers import SimulationObserver
 from ..experiments.registry import Registry
 from ..experiments.specs import ExperimentSpec, _algorithm_registry
 from ..simulation import parallel as parallel_mod
 from ..simulation.results import RunResult
-from .plan import ExecutionPlan, PlanTask, RunFailure
+from .plan import ExecutionPlan, PlanTask, RunFailure, build_execution_plan
 
 __all__ = [
     "SCHEDULER_BACKENDS",
     "ENV_WORKERS",
     "ExecOptions",
     "execute_plan",
+    "run_specs",
     "resolve_backend_name",
     "resolve_worker_count",
 ]
@@ -313,6 +315,62 @@ def execute_plan(
     run_backend = SCHEDULER_BACKENDS.resolve(name)
     run_backend(plan, options, plane)
     return plane.assemble()
+
+
+def run_specs(
+    specs: Sequence[Union[ExperimentSpec, Mapping[str, Any]]],
+    *,
+    n_workers: Optional[int] = None,
+    backend: Optional[str] = None,
+    store=None,
+    on_error: str = "raise",
+    observers: Sequence[SimulationObserver] = (),
+    queue_dir: Optional[str] = None,
+) -> List[Union[RunResult, RunFailure]]:
+    """Plan ``specs`` and execute them on a scheduler backend; results in input order.
+
+    The one way every entry point runs specs.  Each spec is one run under
+    its own seed (the caller owns the repetition/seed policy).
+
+    Parameters
+    ----------
+    specs:
+        :class:`~repro.experiments.specs.ExperimentSpec` objects or spec
+        mappings.  Pool dispatch checks up front that every spec survives
+        pickling.
+    n_workers:
+        Worker count: the explicit argument, else ``REPRO_WORKERS``, else 1.
+    backend:
+        Scheduler backend name (``"serial"``, ``"pool"``, ``"queue"``);
+        ``None`` picks serial for one worker and the pool otherwise.
+    store:
+        Run-store policy (see :func:`repro.store.resolve_store`; ``None``
+        defers to ``REPRO_RUN_STORE``, ``False`` forces cold runs).  The
+        planner serves eligible specs (seeded, no matching-history
+        collection) from the store before any dispatch, so a fully warm
+        grid performs no simulation work; computed results are written back.
+    on_error:
+        ``"raise"`` (default) aborts on the first failing spec with
+        :class:`~repro.errors.WorkerExecutionError`; ``"collect"`` returns
+        a :class:`~repro.exec.plan.RunFailure` record in the failing spec's
+        slot and keeps going.
+    observers:
+        Attached to every run on the serial backend; they cannot cross a
+        process boundary, so other backends run without them.
+    queue_dir:
+        Queue directory for ``backend="queue"`` (temporary when omitted).
+    """
+    if not specs:
+        return []
+    workers = resolve_worker_count(n_workers, fallback=1)
+    name = resolve_backend_name(backend, workers)
+    plan = build_execution_plan(
+        specs,
+        store=store,
+        on_error=on_error,
+        observers=tuple(observers) if name == "serial" else (),
+    )
+    return execute_plan(plan, backend=name, n_workers=workers, queue_dir=queue_dir)
 
 
 def _register_queue_backend() -> None:

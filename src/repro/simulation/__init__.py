@@ -6,24 +6,18 @@ evenly spaced checkpoints — exactly the series plotted in the paper's figures
 (routing cost vs. number of requests, execution time vs. number of requests).
 
 Experiments are described declaratively by
-:class:`~repro.experiments.specs.ExperimentSpec` (or the legacy
-:class:`RunSpec`); :func:`execute_experiment_spec`, :class:`ExperimentRunner`,
-:func:`run_experiments` and :func:`run_sweep` execute them sequentially or in
-a process pool.
+:class:`~repro.experiments.specs.ExperimentSpec`.
+:func:`execute_experiment_spec` runs one repetition in-process;
+:class:`ExperimentRunner`, :func:`run_experiments` and :func:`run_sweep` add
+repetitions and averaging, and run their grids through
+:func:`repro.exec.run_specs` on the serial, pool or queue backend.
 """
 
 from .results import AggregateResult, CheckpointSeries, RunResult, aggregate_runs
 from .engine import log_spaced_checkpoints, run_simulation
 from .timer import Timer
-from .runner import (
-    ExperimentRunner,
-    RunSpec,
-    as_experiment_spec,
-    execute_experiment_spec,
-    execute_run_spec,
-)
+from .runner import ExperimentRunner, as_experiment_spec, execute_experiment_spec
 from .sweep import run_experiments, run_sweep
-from .parallel import run_specs_parallel
 
 __all__ = [
     "CheckpointSeries",
@@ -34,11 +28,8 @@ __all__ = [
     "log_spaced_checkpoints",
     "Timer",
     "ExperimentRunner",
-    "RunSpec",
     "as_experiment_spec",
-    "execute_run_spec",
     "execute_experiment_spec",
     "run_experiments",
     "run_sweep",
-    "run_specs_parallel",
 ]

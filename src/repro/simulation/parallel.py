@@ -4,21 +4,19 @@ The simulation itself is a sequential replay (exactly as in the paper:
 "Each simulation is run sequentially. Hence, no parallelism is used during
 the execution of the proposed algorithm"), but every figure panel and
 ablation is a grid of independent (algorithm × degree-bound × repetition)
-runs — embarrassingly parallel work.  This module is the single fan-out
-point behind :func:`~repro.simulation.sweep.run_experiments`,
-:meth:`~repro.simulation.runner.ExperimentRunner.compare_on_shared_trace`,
-and the benchmark harness.
+runs — embarrassingly parallel work.  This module is the pool backend's
+fan-out (:func:`_execute_batch`), reached through
+:func:`repro.exec.run_specs` by every entry point that runs a grid.
 
 Sharding model
 --------------
-* **Specs travel, objects don't.**  A unit of work is one picklable spec
-  (:class:`~repro.experiments.specs.ExperimentSpec` or the legacy
-  :class:`~repro.simulation.runner.RunSpec`) — plain names and numbers.
+* **Specs travel, objects don't.**  A unit of work is one picklable
+  :class:`~repro.experiments.specs.ExperimentSpec` — plain names and numbers.
   Traces, topologies, and algorithms are rebuilt *inside* the worker from
   the spec's spawned seeds, so a sharded run is bit-identical to the same
   specs executed sequentially: trace generation depends only on
   ``(traffic spec, trace seed)`` and algorithm randomness only on the
-  spawned algorithm seed.  :func:`run_specs_parallel` preserves input order
+  spawned algorithm seed.  :func:`_execute_batch` preserves input order
   in its results.
 * **Workers start clean.**  The pool uses an explicit spawn-safe
   initializer (:func:`_init_worker`): it imports the registries in the
@@ -59,12 +57,11 @@ from typing import TYPE_CHECKING, Any, Dict, List, Mapping, Optional, Sequence, 
 
 from ..errors import SimulationError
 from ..experiments.specs import ExperimentSpec
-from .runner import AnySpec
 
 if TYPE_CHECKING:
     from ..exec.runtime import Outcome
 
-__all__ = ["run_specs_parallel", "default_worker_count", "default_chunksize"]
+__all__ = ["default_worker_count", "default_chunksize"]
 
 #: Environment default for worker counts, in the family of ``REPRO_RUN_STORE``
 #: and ``REPRO_RNG_MODE``: consulted only when no explicit ``n_workers`` is
@@ -232,7 +229,7 @@ def _worker(unit: Sequence[ExperimentSpec]) -> List[Tuple[Outcome, int]]:
     )
 
 
-def _check_picklable(specs: Sequence[AnySpec]) -> None:
+def _check_picklable(specs: Sequence[ExperimentSpec]) -> None:
     """Fail fast, with the offending spec named, before the pool dispatches."""
     for i, spec in enumerate(specs):
         try:
@@ -270,70 +267,3 @@ def _execute_batch(
         initargs=(dict(_EXEC_CONTEXT),),
     ) as pool:
         return list(pool.map(_worker, [list(unit) for unit in units], chunksize=chunksize))
-
-
-def run_specs_parallel(
-    specs: Sequence[AnySpec],
-    n_workers: Optional[int] = None,
-    chunksize: Optional[int] = None,
-    store=None,
-    on_error: str = "raise",
-    backend: Optional[str] = None,
-    queue_dir: Optional[str] = None,
-):
-    """Execute run specs across a scheduler backend, preserving input order.
-
-    A thin shim over the execution stack: builds an
-    :class:`~repro.exec.plan.ExecutionPlan` (run-store hits served before
-    any dispatch, shared-workload specs grouped) and hands it to
-    :func:`~repro.exec.scheduler.execute_plan`.
-
-    Parameters
-    ----------
-    specs:
-        The runs to execute (legacy or structured specs).  Every spec must
-        round-trip through pickle before pool dispatch (checked up front).
-    n_workers:
-        Worker count; defaults to ``REPRO_WORKERS`` if set, else
-        :func:`default_worker_count`.  A value of 1 falls back to
-        in-process execution (useful under debuggers and on single-CPU
-        hosts, where a pool would only add overhead).
-    chunksize:
-        Number of dispatch units (one spec, or a task's SO-BMA specs
-        together) handed to a pool worker at a time; defaults to
-        :func:`default_chunksize`, which keeps per-worker caches warm when
-        many small specs are submitted.
-    store:
-        Run-store policy (see :func:`repro.store.resolve_store`; ``None``
-        defers to ``REPRO_RUN_STORE``, ``False`` forces cold runs).  With a
-        store, every eligible spec (seeded, no matching-history collection)
-        is looked up in the *parent* before dispatch: hits are served from
-        disk without touching any worker — a fully warm grid performs zero
-        simulation work — and only misses are executed.
-    on_error:
-        ``"raise"`` (default) aborts on the first failing spec with
-        :class:`~repro.errors.WorkerExecutionError`; ``"collect"`` returns
-        a :class:`~repro.exec.plan.RunFailure` record in the failing spec's
-        slot and keeps going.
-    backend:
-        Scheduler backend name (``"serial"``, ``"pool"``, ``"queue"``);
-        ``None`` picks serial for one worker and the pool otherwise.
-    queue_dir:
-        Queue directory for ``backend="queue"`` (a temporary directory is
-        used — and cleaned up — when omitted).
-    """
-    if not specs:
-        return []
-    if n_workers is not None and n_workers < 1:
-        raise SimulationError(f"n_workers must be >= 1, got {n_workers}")
-    from ..exec import build_execution_plan, execute_plan, resolve_worker_count
-
-    workers = resolve_worker_count(n_workers, fallback=default_worker_count())
-    plan = build_execution_plan(specs, store=store, on_error=on_error)
-    return execute_plan(
-        plan,
-        backend=backend,
-        n_workers=workers,
-        chunksize=chunksize,
-        queue_dir=queue_dir,
-    )

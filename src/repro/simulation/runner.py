@@ -7,27 +7,17 @@ The canonical description of a run is an
 spec for provenance).  :class:`ExperimentRunner` layers the paper's
 methodology on top: repetitions with spawned seeds, averaging, and shared
 traces for algorithm comparisons.
-
-:class:`RunSpec` is the legacy flat description kept for backward
-compatibility; it converts losslessly via :meth:`RunSpec.to_experiment_spec`
-and every entry point accepts either form.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from collections import Counter
+from dataclasses import replace
 from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Union
 
-from ..config import SimulationConfig
 from ..errors import ConfigurationError
 from ..experiments.observers import SimulationObserver
-from ..experiments.specs import (
-    AlgorithmSpec,
-    ExperimentSpec,
-    TopologySpec,
-    TrafficSpec,
-    spawn_seeds,
-)
+from ..experiments.specs import ExperimentSpec, _algorithm_registry, spawn_seeds
 from ..store.fingerprint import fingerprint_spec
 from ..store.run_store import RunStore, resolve_store
 from ..traffic.base import Trace
@@ -36,86 +26,20 @@ from .engine import run_simulation
 from .results import AggregateResult, RunResult, aggregate_runs
 
 __all__ = [
-    "RunSpec",
-    "AnySpec",
     "ExperimentRunner",
-    "execute_run_spec",
     "execute_experiment_spec",
     "as_experiment_spec",
 ]
 
 
-@dataclass(frozen=True)
-class RunSpec:
-    """Legacy flat description of one run (see :class:`ExperimentSpec`).
-
-    Kept as a stable shim: all fields and semantics are unchanged, and
-    :meth:`to_experiment_spec` converts to the structured spec tree that the
-    execution paths now consume.
-
-    Attributes
-    ----------
-    algorithm:
-        Registered algorithm name (e.g. ``"rbma"``).
-    workload:
-        Registered workload name (e.g. ``"facebook-database"``).
-    b, alpha:
-        Matching parameters.
-    topology:
-        Registered topology name; defaults to ``"fat-tree"`` as in the paper.
-    workload_kwargs, topology_kwargs, algorithm_kwargs:
-        Extra keyword arguments forwarded to the respective factories.
-    seed:
-        Seed for both workload generation and algorithm randomness (distinct
-        sub-seeds are spawned for each).
-    checkpoints:
-        Number of recorded checkpoints.
-    """
-
-    algorithm: str
-    workload: str
-    b: int
-    alpha: float = 1.0
-    topology: str = "fat-tree"
-    workload_kwargs: Mapping[str, Any] = field(default_factory=dict)
-    topology_kwargs: Mapping[str, Any] = field(default_factory=dict)
-    algorithm_kwargs: Mapping[str, Any] = field(default_factory=dict)
-    seed: Optional[int] = None
-    checkpoints: int = 20
-
-    def with_seed(self, seed: int) -> "RunSpec":
-        """The same spec with a different seed (used for repetitions)."""
-        return replace(self, seed=seed)
-
-    def to_experiment_spec(self) -> ExperimentSpec:
-        """The equivalent structured :class:`ExperimentSpec`."""
-        return ExperimentSpec(
-            algorithm=AlgorithmSpec(
-                name=self.algorithm,
-                b=self.b,
-                alpha=self.alpha,
-                params=dict(self.algorithm_kwargs),
-            ),
-            traffic=TrafficSpec(name=self.workload, params=dict(self.workload_kwargs)),
-            topology=TopologySpec(name=self.topology, params=dict(self.topology_kwargs)),
-            simulation=SimulationConfig(checkpoints=self.checkpoints),
-            seed=self.seed,
-        )
-
-
-AnySpec = Union[RunSpec, ExperimentSpec]
-
-
-def as_experiment_spec(spec: AnySpec) -> ExperimentSpec:
-    """Normalise a :class:`RunSpec` or :class:`ExperimentSpec` to the latter."""
+def as_experiment_spec(spec: Union[ExperimentSpec, Mapping[str, Any]]) -> ExperimentSpec:
+    """Normalise an :class:`ExperimentSpec` or a spec mapping to the former."""
     if isinstance(spec, ExperimentSpec):
         return spec
-    if isinstance(spec, RunSpec):
-        return spec.to_experiment_spec()
     if isinstance(spec, Mapping):
         return ExperimentSpec.from_dict(spec)
     raise ConfigurationError(
-        f"expected an ExperimentSpec, RunSpec, or mapping, got {type(spec).__name__}"
+        f"expected an ExperimentSpec or mapping, got {type(spec).__name__}"
     )
 
 
@@ -206,27 +130,15 @@ def execute_experiment_spec(
     return result
 
 
-def execute_run_spec(
-    spec: AnySpec,
-    trace: Optional[Trace] = None,
-    observers: Iterable[SimulationObserver] = (),
-    validate: bool = False,
-) -> RunResult:
-    """Execute a single spec (legacy or structured) and return its result."""
-    return execute_experiment_spec(
-        as_experiment_spec(spec), trace=trace, observers=observers, validate=validate
-    )
-
-
 class ExperimentRunner:
     """Runs groups of specs sharing a workload, with repetitions and averaging.
 
     The runner drives the repeat/seed policy: each repetition gets a seed
     spawned from ``base_seed`` via :class:`numpy.random.SeedSequence` (the
-    paper repeats every simulation five times and averages).  Specs may be
-    legacy :class:`RunSpec` or structured :class:`ExperimentSpec` objects;
-    a spec's own ``repeats``/``seed`` fields are superseded by the runner's
-    policy here (use :meth:`ExperimentSpec.run` or
+    paper repeats every simulation five times and averages).  Specs are
+    :class:`ExperimentSpec` objects or spec mappings; a spec's own
+    ``repeats``/``seed`` fields are superseded by the runner's policy here
+    (use :meth:`ExperimentSpec.run` or
     :func:`~repro.simulation.sweep.run_experiments` for spec-driven runs).
 
     Parameters
@@ -267,92 +179,50 @@ class ExperimentRunner:
         """The spawned seeds, one per repetition (deterministic in ``base_seed``)."""
         return spawn_seeds(self.base_seed, self.repetitions)
 
-    def run(self, spec: AnySpec) -> AggregateResult:
-        """Run one configuration for all repetitions and average the results."""
-        experiment = as_experiment_spec(spec)
-        runs = [
-            execute_experiment_spec(
-                experiment.with_seed(seed),
-                observers=self.observers,
-                store=self.store,
-            )
-            for seed in self.repetition_seeds()
-        ]
-        return aggregate_runs(runs)
-
-    def _execute_grid(
-        self,
-        experiments: Sequence[ExperimentSpec],
-        n_workers: Optional[int],
-        backend: Optional[str],
-        queue_dir: Optional[str],
-    ) -> List[RunResult]:
-        """Plan and execute the repetition-major (seed × spec) grid.
-
-        The shared engine behind :meth:`run_many` and
-        :meth:`compare_on_shared_trace`: builds an
-        :class:`~repro.exec.plan.ExecutionPlan` (store hits served before
-        dispatch, specs sharing a workload and seed grouped into one task,
-        SO-BMA demand solved inside the task that runs it) and runs it on
-        the resolved scheduler backend.  Observers ride along only on the serial
-        backend — they cannot cross a process boundary — matching the
-        long-standing pool semantics.
-        """
-        from ..exec import (
-            build_execution_plan,
-            execute_plan,
-            resolve_backend_name,
-            resolve_worker_count,
-        )
-
-        workers = resolve_worker_count(n_workers, fallback=1)
-        name = resolve_backend_name(backend, workers)
-        seeds = self.repetition_seeds()
-        # Repetition-major: specs sharing a workload and a repetition seed
-        # land consecutively, grouping into one shared-trace task.
-        grid = [
-            experiment.with_seed(seed)
-            for seed in seeds
-            for experiment in experiments
-        ]
-        plan = build_execution_plan(
-            grid,
-            store=self.store,
-            observers=self.observers if name == "serial" else (),
-        )
-        return execute_plan(plan, backend=name, n_workers=workers, queue_dir=queue_dir)
+    def run(self, spec: Union[ExperimentSpec, Mapping[str, Any]]) -> AggregateResult:
+        """Run one configuration for all repetitions, serially, and average the results."""
+        return self.run_many([spec], n_workers=1)[0]
 
     def run_many(
         self,
-        specs: Sequence[AnySpec],
+        specs: Sequence[Union[ExperimentSpec, Mapping[str, Any]]],
         n_workers: Optional[int] = None,
         backend: Optional[str] = None,
         queue_dir: Optional[str] = None,
     ) -> List[AggregateResult]:
         """Run several configurations, optionally sharded over a scheduler backend.
 
-        With ``n_workers > 1`` (or an explicit ``backend``) the individual
-        (spec × repetition) runs are distributed by
-        :func:`~repro.exec.scheduler.execute_plan`; results are
-        bit-identical to sequential execution (each worker rebuilds its
-        trace deterministically from the spec) but observers are not shipped
-        off the serial backend.
+        The repetition-major (seed × spec) grid goes through
+        :func:`repro.exec.run_specs`: store hits are served before dispatch,
+        specs sharing a workload and seed form one shared-trace task, and
+        with ``n_workers > 1`` (or an explicit ``backend``) the runs are
+        distributed over the pool or queue.  Results are bit-identical to
+        sequential execution (each worker rebuilds its trace
+        deterministically from the spec), but observers ride along only on
+        the serial backend.
         """
-        if not specs:
-            return []
+        from ..exec import run_specs
+
         experiments = [as_experiment_spec(spec) for spec in specs]
-        flat = self._execute_grid(experiments, n_workers, backend, queue_dir)
-        n_seeds = self.repetitions
-        return [
-            aggregate_runs(
-                [flat[r * len(experiments) + i] for r in range(n_seeds)]
-            )
-            for i in range(len(experiments))
-        ]
+        # Repetition-major: specs sharing a workload and a repetition seed
+        # land consecutively, grouping into one shared-trace task.
+        flat = run_specs(
+            [
+                experiment.with_seed(seed)
+                for seed in self.repetition_seeds()
+                for experiment in experiments
+            ],
+            n_workers=n_workers,
+            backend=backend,
+            store=self.store,
+            observers=self.observers,
+            queue_dir=queue_dir,
+        )
+        return [aggregate_runs(flat[i :: len(experiments)]) for i in range(len(experiments))]
 
     def compare_on_shared_trace(
         self,
-        specs: Sequence[AnySpec],
+        specs: Sequence[Union[ExperimentSpec, Mapping[str, Any]]],
         n_workers: Optional[int] = None,
         backend: Optional[str] = None,
         queue_dir: Optional[str] = None,
@@ -362,7 +232,8 @@ class ExperimentRunner:
         All specs must name the same workload and workload parameters; per
         repetition one trace is generated and every algorithm replays it —
         the setup behind each panel of the paper's figures.  Returns a dict
-        keyed by ``"<algorithm> (b: <b>)"``.
+        keyed by ``"<algorithm> (b: <b>)"``; specs that would share a key
+        raise :class:`~repro.errors.ConfigurationError` before anything runs.
 
         SO-BMA specs benefit twice from the static-solver memo in
         :mod:`repro.matching.static_solver`: within a repetition, several
@@ -399,24 +270,17 @@ class ExperimentRunner:
             raise ConfigurationError(
                 "compare_on_shared_trace requires all specs to share the same workload"
             )
-        flat = self._execute_grid(experiments, n_workers, backend, queue_dir)
-        per_spec_runs: Dict[int, List[RunResult]] = {i: [] for i in range(len(experiments))}
-        for j, result in enumerate(flat):
-            per_spec_runs[j % len(experiments)].append(result)
-        results: Dict[str, AggregateResult] = {}
-        for i in range(len(experiments)):
-            agg = aggregate_runs(per_spec_runs[i])
-            results[agg.label] = agg
-        return results
-
-    def _run_shared_stream(self, seeded: Sequence[ExperimentSpec]) -> List[RunResult]:
-        """Replay one shared workload stream through several algorithms at once.
-
-        Kept as a thin delegation to
-        :func:`repro.exec.runtime.run_shared_stream` (where the lockstep
-        tee engine now lives, shared with the queue workers) so existing
-        callers and subclasses keep working.
-        """
-        from ..exec.runtime import run_shared_stream
-
-        return run_shared_stream(seeded, self.observers)
+        registry = _algorithm_registry()
+        labels = Counter(
+            f"{registry.canonical(e.algorithm.name)} (b: {e.algorithm.b})"
+            for e in experiments
+        )
+        repeated = [label for label, n in labels.items() if n > 1]
+        if repeated:
+            raise ConfigurationError(
+                f"compare_on_shared_trace keys results by '<algorithm> (b: <b>)', "
+                f"and {repeated[0]!r} would key {labels[repeated[0]]} specs; "
+                "run specs that share a key with run_many, which returns a list"
+            )
+        aggregates = self.run_many(experiments, n_workers, backend, queue_dir)
+        return {agg.label: agg for agg in aggregates}

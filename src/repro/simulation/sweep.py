@@ -2,29 +2,29 @@
 
 A sweep is nothing but a list of :class:`~repro.experiments.specs.ExperimentSpec`
 objects — usually produced by :func:`~repro.experiments.specs.expand_grid` —
-executed by :func:`run_experiments`, which handles per-spec repetitions
-(seeds spawned from each spec's base seed), optional process-pool fan-out,
-and aggregation.  :func:`run_sweep` keeps the classic
-:class:`~repro.config.SweepConfig` entry point, now implemented as a grid
-expansion over ``algorithm.name`` × ``algorithm.b`` × ``algorithm.alpha``.
+executed by :func:`run_experiments`, which expands per-spec repetitions
+(seeds spawned from each spec's base seed), runs them through
+:func:`repro.exec.run_specs`, and aggregates.  :func:`run_sweep` keeps the
+classic :class:`~repro.config.SweepConfig` entry point, now implemented as a
+grid expansion over ``algorithm.name`` × ``algorithm.b`` × ``algorithm.alpha``.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence
+from typing import Any, Iterable, List, Mapping, Optional, Sequence, Union
 
 from ..config import SweepConfig
 from ..errors import ConfigurationError
 from ..experiments.observers import SimulationObserver
 from ..experiments.specs import ExperimentSpec, expand_grid
 from .results import AggregateResult, RunResult, aggregate_runs
-from .runner import AnySpec, as_experiment_spec
+from .runner import as_experiment_spec
 
 __all__ = ["run_experiments", "run_sweep"]
 
 
 def run_experiments(
-    specs: Sequence[AnySpec],
+    specs: Sequence[Union[ExperimentSpec, Mapping[str, Any]]],
     n_workers: Optional[int] = None,
     observers: Iterable[SimulationObserver] = (),
     store=None,
@@ -41,9 +41,8 @@ def run_experiments(
     Parameters
     ----------
     specs:
-        The experiments (legacy :class:`~repro.simulation.runner.RunSpec`,
-        structured :class:`~repro.experiments.specs.ExperimentSpec`, or plain
-        spec dicts).
+        The experiments (:class:`~repro.experiments.specs.ExperimentSpec`
+        objects or plain spec dicts).
     n_workers:
         Worker count; defaults to ``REPRO_WORKERS`` if set, else 1.  Values
         above 1 shard the expanded runs over the resolved scheduler backend.
@@ -79,23 +78,17 @@ def run_experiments(
         seeds = experiment.repetition_seeds()
         group_sizes.append(len(seeds))
         expanded.extend(experiment.with_seed(seed) for seed in seeds)
+    from ..exec import run_specs
 
-    from ..exec import (
-        build_execution_plan,
-        execute_plan,
-        resolve_backend_name,
-        resolve_worker_count,
-    )
-
-    workers = resolve_worker_count(n_workers, fallback=1)
-    name = resolve_backend_name(backend, workers)
-    plan = build_execution_plan(
+    flat = run_specs(
         expanded,
+        n_workers=n_workers,
+        backend=backend,
         store=store,
         on_error=on_error,
-        observers=tuple(observers) if name == "serial" else (),
+        observers=observers,
+        queue_dir=queue_dir,
     )
-    flat = execute_plan(plan, backend=name, n_workers=workers, queue_dir=queue_dir)
 
     results: List = []
     cursor = 0

@@ -166,6 +166,33 @@ class TestRunSpecFile:
         assert "final routing cost" in captured.out
         assert "[repro]" in captured.err  # progress observer output
 
+    @pytest.mark.parallel
+    def test_run_on_a_two_worker_pool_matches_serial(self, tmp_path, capsys):
+        """``repro run`` takes one path on every backend: a 2-worker pool
+        gives the serial backend's per-run costs and series."""
+        import json
+
+        spec_path = tmp_path / "spec.json"
+        self._write_spec(spec_path)
+        runs = {}
+        for backend, flags in (("serial", []),
+                               ("pool", ["--backend", "pool", "--workers", "2"])):
+            out_path = tmp_path / f"{backend}.json"
+            assert main(["run", str(spec_path), "--repeats", "2", "--no-store",
+                         "--out", str(out_path), *flags]) == 0
+            runs[backend] = json.loads(out_path.read_text())["runs"]
+        assert len(runs["serial"]) == len(runs["pool"]) == 2
+        for serial, pool in zip(runs["serial"], runs["pool"]):
+            assert serial["extra"]["scheduler_backend"] == "serial"
+            assert pool["extra"]["scheduler_backend"] == "pool"
+            for key in ("seed", "total_routing_cost", "total_reconfiguration_cost",
+                        "matched_fraction"):
+                assert serial[key] == pool[key], key
+            for key in ("requests", "routing_cost", "reconfiguration_cost",
+                        "matched_fraction"):
+                assert serial["series"][key] == pool["series"][key], key
+        assert runs["serial"][0]["seed"] != runs["serial"][1]["seed"]
+
     def test_run_missing_file_returns_error_code(self, tmp_path, capsys):
         code = main(["run", str(tmp_path / "missing.json")])
         assert code == 2

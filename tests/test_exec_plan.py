@@ -6,7 +6,7 @@ plane contract (see :mod:`repro.exec`).
   plan, and groups shared-workload specs into lockstep tasks; SO-BMA
   demand is solved in the task that runs it, never in the planner.
 * :func:`execute_plan` on the ``serial`` backend is the reference: results
-  must be bit-identical to the legacy sequential paths, every computed
+  must be bit-identical to direct ``execute_experiment_spec`` runs, every computed
   result carries ``extra["scheduler_backend"]``/``["attempts"]``
   provenance, and ``on_error="collect"`` turns failures into
   :class:`RunFailure` records without discarding completed work.
@@ -33,11 +33,11 @@ from repro.exec import (
     execute_plan,
     resolve_backend_name,
     resolve_worker_count,
+    run_specs,
 )
 from repro.exec.scheduler import _pool_units
 from repro.experiments import ExperimentSpec
 from repro.matching import static_solver
-from repro.simulation import RunSpec, run_specs_parallel
 from repro.simulation import parallel as parallel_mod
 from repro.simulation.results import RunResult
 from repro.simulation.runner import execute_experiment_spec
@@ -90,17 +90,12 @@ def _assert_series_identical(a, b):
 
 class TestPlanConstruction:
     def test_mixed_inputs_canonicalize_and_group_by_shared_trace(self):
-        legacy = RunSpec(
-            algorithm="bma",
-            workload="zipf",
-            b=3,
-            workload_kwargs={"n_nodes": 10, "n_requests": 200},
-            seed=SEED,
-        )
-        specs = [_spec("rbma"), legacy, _spec("oblivious", seed=SEED + 1)]
+        mapping = _spec("bma").to_dict()
+        specs = [_spec("rbma"), mapping, _spec("oblivious", seed=SEED + 1)]
         plan = build_execution_plan(specs, store=False)
         assert all(isinstance(s, ExperimentSpec) for s in plan.specs)
-        # rbma and the legacy bma spec share (workload, params, seed); the
+        assert plan.specs[1] == _spec("bma")
+        # rbma and the bma mapping share (workload, params, seed); the
         # reseeded oblivious spec gets its own task.
         assert plan.describe() == {
             "specs": 3,
@@ -134,7 +129,7 @@ class TestStoreDedupe:
     def test_warm_entries_are_served_before_dispatch(self, tmp_path):
         store = RunStore(tmp_path / "store")
         spec = _spec("rbma")
-        [cold] = run_specs_parallel([spec], store=store)
+        [cold] = run_specs([spec], store=store)
         plan = build_execution_plan([spec, _spec("bma")], store=store)
         assert plan.describe()["cached"] == 1
         assert plan.describe()["pending"] == 1
@@ -236,21 +231,21 @@ class TestSerialBackend:
             _assert_series_identical(result, execute_experiment_spec(spec))
 
     def test_results_carry_scheduler_provenance(self):
-        [result] = run_specs_parallel([_spec()], n_workers=1)
+        [result] = run_specs([_spec()], n_workers=1)
         assert result.extra["scheduler_backend"] == "serial"
         assert result.extra["attempts"] == 1
 
     def test_raise_mode_propagates_with_spec_context(self):
         with pytest.raises(WorkerExecutionError) as excinfo:
-            run_specs_parallel([_spec(), _failing_spec()], n_workers=1)
+            run_specs([_spec(), _failing_spec()], n_workers=1)
         message = str(excinfo.value)
         assert "failing spec" in message
         assert '"seed": 5' in message
 
     def test_collect_mode_keeps_completed_work(self):
         ok = _spec("rbma")
-        results = run_specs_parallel([ok, _failing_spec(), _spec("bma")],
-                                     n_workers=1, on_error="collect")
+        results = run_specs([ok, _failing_spec(), _spec("bma")],
+                            n_workers=1, on_error="collect")
         assert isinstance(results[0], RunResult)
         assert isinstance(results[2], RunResult)
         failure = results[1]

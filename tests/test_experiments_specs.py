@@ -15,7 +15,7 @@ from repro.experiments import (
     expand_grid,
     spawn_seeds,
 )
-from repro.simulation import ExperimentRunner, RunSpec, run_experiments
+from repro.simulation import ExperimentRunner, as_experiment_spec, run_experiments
 
 
 def _spec(**overrides) -> ExperimentSpec:
@@ -67,7 +67,7 @@ class TestConstruction:
 
     def test_from_dict_rejects_unknown_keys(self):
         data = _spec().to_dict()
-        data["workload"] = "zipf"  # the legacy RunSpec field name
+        data["workload"] = "zipf"  # a flat field name the spec tree does not have
         with pytest.raises(ConfigurationError, match="unknown ExperimentSpec keys"):
             ExperimentSpec.from_dict(data)
 
@@ -269,26 +269,12 @@ class TestGridExpansion:
             expand_grid(_spec(), {"algorithm.name": ["rmba"]})
 
 
-class TestRunSpecShim:
-    def test_conversion_preserves_fields(self):
-        legacy = RunSpec(algorithm="bma", workload="uniform", b=3, alpha=2.0,
-                         topology="ring", workload_kwargs={"n_nodes": 6, "n_requests": 50},
-                         algorithm_kwargs={}, seed=4, checkpoints=7)
-        spec = legacy.to_experiment_spec()
-        assert spec.algorithm.name == "bma"
-        assert spec.algorithm.b == 3
-        assert spec.traffic.name == "uniform"
-        assert spec.topology.name == "ring"
-        assert spec.simulation.checkpoints == 7
-        assert spec.seed == 4
+class TestAsExperimentSpec:
+    def test_specs_and_mappings_normalise(self):
+        spec = _spec()
+        assert as_experiment_spec(spec) is spec
+        assert as_experiment_spec(spec.to_dict()) == spec
 
-    def test_legacy_and_structured_specs_agree(self):
-        legacy = RunSpec(algorithm="oblivious", workload="zipf", b=2, alpha=4.0,
-                         workload_kwargs={"n_nodes": 8, "n_requests": 100}, seed=3,
-                         checkpoints=5)
-        from repro.simulation import execute_run_spec
-
-        a = execute_run_spec(legacy)
-        b = execute_run_spec(legacy.to_experiment_spec())
-        assert a.total_routing_cost == b.total_routing_cost
-        assert (a.series.routing_cost == b.series.routing_cost).all()
+    def test_other_inputs_are_rejected(self):
+        with pytest.raises(ConfigurationError, match="expected an ExperimentSpec or mapping"):
+            as_experiment_spec(("rbma", "zipf", 2))

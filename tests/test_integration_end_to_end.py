@@ -5,29 +5,29 @@ import pytest
 
 from repro.analysis import format_comparison_table, format_series_table, routing_cost_reduction
 from repro.config import SweepConfig
-from repro.simulation import ExperimentRunner, RunSpec, run_sweep
+from repro.experiments import ExperimentSpec
+from repro.simulation import ExperimentRunner, run_sweep
 from repro.traffic import available_workloads
 
 
 WORKLOAD_KWARGS = dict(n_nodes=20, n_requests=1500)
 
 
+def _spec(algorithm, workload, b, alpha=8.0, workload_kwargs=WORKLOAD_KWARGS, checkpoints=6):
+    return ExperimentSpec(
+        algorithm={"name": algorithm, "b": b, "alpha": alpha},
+        traffic={"name": workload, "params": workload_kwargs},
+        simulation={"checkpoints": checkpoints},
+    )
+
+
 def _specs(workload, b_values, algorithms, alpha=8.0, extra_kwargs=None):
     kwargs = {**WORKLOAD_KWARGS, **(extra_kwargs or {})}
-    specs = []
-    for algorithm in algorithms:
-        for b in b_values:
-            specs.append(
-                RunSpec(
-                    algorithm=algorithm,
-                    workload=workload,
-                    b=b,
-                    alpha=alpha,
-                    workload_kwargs=kwargs,
-                    checkpoints=6,
-                )
-            )
-    return specs
+    return [
+        _spec(algorithm, workload, b, alpha=alpha, workload_kwargs=kwargs)
+        for algorithm in algorithms
+        for b in b_values
+    ]
 
 
 class TestFullPipeline:
@@ -35,10 +35,7 @@ class TestFullPipeline:
         """A miniature Figure 1a: R-BMA and BMA beat Oblivious, benefit grows with b."""
         runner = ExperimentRunner(repetitions=2, base_seed=3)
         specs = _specs("facebook-database", b_values=(2, 6), algorithms=("rbma", "bma"))
-        specs.append(
-            RunSpec(algorithm="oblivious", workload="facebook-database", b=2, alpha=8.0,
-                    workload_kwargs=WORKLOAD_KWARGS, checkpoints=6)
-        )
+        specs.append(_spec("oblivious", "facebook-database", b=2))
         results = runner.compare_on_shared_trace(specs)
         oblivious = results["oblivious (b: 2)"]
         for label, result in results.items():
@@ -88,8 +85,7 @@ class TestFullPipeline:
             if workload == "hotspot":
                 kwargs["n_hot_pairs"] = 3
             agg = runner.run(
-                RunSpec(algorithm="rbma", workload=workload, b=2, alpha=4.0,
-                        workload_kwargs=kwargs, checkpoints=4)
+                _spec("rbma", workload, b=2, alpha=4.0, workload_kwargs=kwargs, checkpoints=4)
             )
             assert agg.n_requests == 200
             assert agg.routing_cost_mean > 0

@@ -2,8 +2,10 @@
 
 Guards the package surface across refactors: every exported name must be a
 real attribute, the pre-redesign names must keep working (the legacy registry
-entry points and ``RunSpec`` are shims now, not gone), and the new
-declarative API must be reachable from the package root.
+entry points are shims now, not gone), and the new declarative API must be
+reachable from the package root.  The flat legacy spec and its entry points
+are gone: an :class:`~repro.experiments.ExperimentSpec` is the one spec type,
+and :func:`repro.exec.run_specs` the one way to run a list of them.
 """
 
 import pytest
@@ -23,7 +25,7 @@ LEGACY_EXPORTS = [
     "OnlineBMatchingAlgorithm", "RBMA", "BMA", "ObliviousRouting", "GreedyBMA",
     "StaticOfflineBMA", "UniformBMatching", "PredictiveBMA",
     "available_algorithms", "make_algorithm",
-    "run_simulation", "run_sweep", "RunSpec", "RunResult", "AggregateResult",
+    "run_simulation", "run_sweep", "RunResult", "AggregateResult",
     "ExperimentRunner",
 ]
 
@@ -34,8 +36,11 @@ SPEC_EXPORTS = [
     "expand_grid", "spawn_seeds",
     "SimulationObserver", "ProgressObserver", "ValidationObserver",
     "CostTraceObserver",
-    "run_experiments", "execute_run_spec", "execute_experiment_spec",
+    "run_experiments", "execute_experiment_spec",
 ]
+
+#: Names deleted with the flat legacy spec; they must not come back.
+REMOVED_NAMES = ["RunSpec", "AnySpec", "execute_run_spec", "run_specs_parallel"]
 
 
 def test_all_names_are_importable():
@@ -53,6 +58,23 @@ def test_legacy_export_present(name):
 def test_spec_export_present(name):
     assert name in repro.__all__
     assert getattr(repro, name, None) is not None
+
+
+@pytest.mark.parametrize("module", ["repro", "repro.simulation"])
+@pytest.mark.parametrize("name", REMOVED_NAMES)
+def test_removed_name_is_absent(module, name):
+    import importlib
+
+    package = importlib.import_module(module)
+    assert name not in package.__all__
+    assert not hasattr(package, name)
+
+
+def test_run_specs_is_the_exec_entry_point():
+    import repro.exec
+
+    assert "run_specs" in repro.exec.__all__
+    assert callable(repro.exec.run_specs)
 
 
 def test_no_duplicate_exports():
@@ -123,15 +145,6 @@ class TestLegacyRegistryShims:
         finally:
             ALGORITHMS.unregister("test-only-fake")
         assert "test-only-fake" not in ALGORITHMS
-
-
-def test_legacy_runspec_constructor_signature_unchanged():
-    from repro import RunSpec
-
-    spec = RunSpec(algorithm="rbma", workload="zipf", b=2, alpha=4.0,
-                   topology="fat-tree", workload_kwargs={}, topology_kwargs={},
-                   algorithm_kwargs={}, seed=None, checkpoints=20)
-    assert spec.with_seed(3).seed == 3
 
 
 def test_version_is_a_string():

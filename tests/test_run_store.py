@@ -7,7 +7,7 @@ The contract under test (see :mod:`repro.store`):
   seed, every parameter, the schema version, and the effective kernels can.
 * A store hit is **bit-identical** to the cold run that produced it, for
   every registered algorithm, on both the in-process and
-  :func:`run_specs_parallel` execution paths — and a fully warm grid
+  :func:`repro.exec.run_specs` execution paths — and a fully warm grid
   performs zero simulation work (asserted by making simulation impossible).
 * ``repro runs list|show|stats|gc`` work end-to-end on a populated store.
 """
@@ -21,10 +21,10 @@ import pytest
 from repro.cli import main
 from repro.core.registry import ALGORITHMS
 from repro.errors import ConfigurationError, SimulationError
+from repro.exec import run_specs
 from repro.exec import runtime as runtime_mod
 from repro.experiments import ExperimentSpec, canonical_data
 from repro.simulation import runner as runner_mod
-from repro.simulation.parallel import run_specs_parallel
 from repro.simulation.results import AggregateResult, RunResult, aggregate_runs
 from repro.simulation.runner import ExperimentRunner, execute_experiment_spec
 from repro.simulation.sweep import run_experiments
@@ -499,44 +499,44 @@ class TestExecutionPaths:
         assert [a.to_dict() for a in cold] == [a.to_dict() for a in warm]
 
 
-class TestRunSpecsParallelStore:
+class TestRunSpecsStore:
     def test_warm_grid_never_dispatches(self, tmp_path, monkeypatch):
         store = RunStore(tmp_path)
         grid = [_spec(seed=s) for s in (1, 2, 3)]
-        cold = run_specs_parallel(grid, n_workers=1, store=store)
+        cold = run_specs(grid, n_workers=1, store=store)
         def _boom(*_a, **_k):
             raise AssertionError("dispatched to execution despite warm store")
         monkeypatch.setattr(runtime_mod, "run_task_specs", _boom)
-        warm = run_specs_parallel(grid, n_workers=1, store=store)
+        warm = run_specs(grid, n_workers=1, store=store)
         for c, w in zip(cold, warm):
             _assert_identical(c, w)
 
     def test_mixed_hits_and_misses_preserve_order(self, tmp_path, monkeypatch):
         store = RunStore(tmp_path)
         warm_spec = _spec(seed=1)
-        run_specs_parallel([warm_spec], n_workers=1, store=store)
+        run_specs([warm_spec], n_workers=1, store=store)
         grid = [_spec(seed=2), warm_spec, _spec(seed=3)]
         dispatched = []
         real = runtime_mod.run_task_specs
         monkeypatch.setattr(
             runtime_mod, "run_task_specs",
             lambda specs, **kw: dispatched.extend(specs) or real(specs, **kw))
-        results = run_specs_parallel(grid, n_workers=1, store=store)
+        results = run_specs(grid, n_workers=1, store=store)
         assert [s.seed for s in dispatched] == [2, 3]  # the hit never dispatched
         assert [r.spec["seed"] for r in results] == [2, 1, 3]  # input order preserved
         assert len(store) == 3
 
     def test_ineligible_specs_flow_through_uncached(self, tmp_path):
         store = RunStore(tmp_path)
-        results = run_specs_parallel([_spec(seed=None)], n_workers=1, store=store)
+        results = run_specs([_spec(seed=None)], n_workers=1, store=store)
         assert len(results) == 1 and len(store) == 0
 
     @pytest.mark.parallel
     def test_pool_path_warm_grid_is_bit_identical(self, tmp_path):
         store = RunStore(tmp_path)
         grid = [_spec(seed=s) for s in (1, 2, 3, 4)]
-        cold = run_specs_parallel(grid, n_workers=2, store=store)
-        warm = run_specs_parallel(grid, n_workers=2, store=store)
+        cold = run_specs(grid, n_workers=2, store=store)
+        warm = run_specs(grid, n_workers=2, store=store)
         for c, w in zip(cold, warm):
             _assert_identical(c, w)
         assert store.counters.hits == len(grid)

@@ -15,8 +15,9 @@ import numpy as np
 import pytest
 
 from repro.errors import SimulationError, WorkerExecutionError
+from repro.exec import build_execution_plan, execute_plan, run_specs
 from repro.experiments import ExperimentSpec
-from repro.simulation import ExperimentRunner, RunSpec, run_specs_parallel
+from repro.simulation import ExperimentRunner
 from repro.simulation.parallel import (
     _cached_trace,
     _check_picklable,
@@ -82,12 +83,10 @@ def test_worker_trace_cache_never_caches_unseeded_specs():
 
 
 def test_unpicklable_spec_is_rejected_before_dispatch():
-    bad = RunSpec(
-        algorithm="rbma",
-        workload="zipf",
-        b=2,
-        workload_kwargs={"n_nodes": 8, "n_requests": 50},
-        algorithm_kwargs={"paging_factory": lambda capacity, rng: None},
+    bad = ExperimentSpec(
+        algorithm={"name": "rbma", "b": 2,
+                   "params": {"paging_factory": lambda capacity, rng: None}},
+        traffic={"name": "zipf", "params": {"n_nodes": 8, "n_requests": 50}},
     )
     with pytest.raises(SimulationError, match="pickl"):
         _check_picklable([bad])
@@ -95,7 +94,7 @@ def test_unpicklable_spec_is_rejected_before_dispatch():
 
 def test_single_worker_falls_back_to_in_process_execution():
     specs = [s.with_seed(3) for s in _panel_specs(["rbma", "oblivious"])]
-    results = run_specs_parallel(specs, n_workers=1)
+    results = run_specs(specs, n_workers=1)
     assert [r.algorithm for r in results] == ["rbma", "oblivious"]
 
 
@@ -120,7 +119,7 @@ def test_worker_failure_names_the_failing_spec():
     """
     ok = _panel_specs(["rbma"])[0].with_seed(3)
     with pytest.raises(WorkerExecutionError) as excinfo:
-        run_specs_parallel([ok, _failing_spec()], n_workers=1)
+        run_specs([ok, _failing_spec()], n_workers=1)
     message = str(excinfo.value)
     assert "failing spec" in message
     assert '"rbma"' in message and '"zipf"' in message
@@ -137,7 +136,7 @@ def test_worker_failure_context_survives_the_process_boundary():
     specs = [s.with_seed(3) for s in _panel_specs(["rbma", "oblivious"])]
     specs.append(_failing_spec())
     with pytest.raises(WorkerExecutionError) as excinfo:
-        run_specs_parallel(specs, n_workers=2, chunksize=1)
+        execute_plan(build_execution_plan(specs), n_workers=2, chunksize=1)
     message = str(excinfo.value)
     assert "failing spec" in message
     assert '"seed": 5' in message
@@ -181,9 +180,9 @@ def test_run_many_parallel_bit_identical():
 
 
 @pytest.mark.parallel
-def test_run_specs_parallel_preserves_order_with_chunking():
+def test_pool_preserves_order_with_chunking():
     specs = [s.with_seed(7) for s in _panel_specs(("rbma", "oblivious", "greedy"))]
-    results = run_specs_parallel(specs * 2, n_workers=2, chunksize=2)
+    results = execute_plan(build_execution_plan(specs * 2), n_workers=2, chunksize=2)
     assert [r.algorithm for r in results] == ["rbma", "oblivious", "greedy"] * 2
 
 
@@ -196,7 +195,6 @@ def test_pool_solves_a_tasks_so_bma_demand_once(tmp_path, monkeypatch):
     import multiprocessing
     import os
 
-    from repro.exec import build_execution_plan, execute_plan
     from repro.matching import solver_cache_info
     from repro.simulation import parallel as parallel_mod
 

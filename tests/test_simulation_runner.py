@@ -1,51 +1,50 @@
-"""Tests for the declarative runner, sweeps, and the parallel executor."""
+"""Tests for the declarative runner, sweeps, and ``repro.exec.run_specs``."""
 
 import pytest
 
 from repro.config import SweepConfig
 from repro.errors import ConfigurationError
-from repro.simulation import ExperimentRunner, RunSpec, run_specs_parallel, run_sweep
-from repro.simulation.runner import execute_run_spec
+from repro.exec import run_specs
+from repro.experiments import ExperimentSpec
+from repro.simulation import ExperimentRunner, execute_experiment_spec, run_sweep
 
 
 SMALL_WORKLOAD = dict(n_nodes=12, n_requests=300)
 
 
-def _spec(algorithm="rbma", b=2, **kwargs):
-    return RunSpec(
-        algorithm=algorithm,
-        workload="zipf",
-        b=b,
-        alpha=4.0,
-        workload_kwargs={**SMALL_WORKLOAD, "exponent": 1.3},
-        checkpoints=5,
-        **kwargs,
+def _spec(algorithm="rbma", b=2, seed=None, topology="fat-tree", alpha=4.0, params=None):
+    return ExperimentSpec(
+        algorithm={"name": algorithm, "b": b, "alpha": alpha, "params": params or {}},
+        traffic={"name": "zipf", "params": {**SMALL_WORKLOAD, "exponent": 1.3}},
+        topology={"name": topology},
+        simulation={"checkpoints": 5},
+        seed=seed,
     )
 
 
-class TestExecuteRunSpec:
+class TestExecuteExperimentSpec:
     def test_basic_execution(self):
-        result = execute_run_spec(_spec(seed=1))
+        result = execute_experiment_spec(_spec(seed=1))
         assert result.algorithm == "rbma"
         assert result.n_requests == 300
         assert result.workload == "zipf"
         assert result.topology.startswith("fat-tree")
 
     def test_seed_reproducibility(self):
-        a = execute_run_spec(_spec(seed=3))
-        b = execute_run_spec(_spec(seed=3))
+        a = execute_experiment_spec(_spec(seed=3))
+        b = execute_experiment_spec(_spec(seed=3))
         assert a.total_routing_cost == b.total_routing_cost
 
     def test_shared_trace_override(self):
         from repro.traffic import zipf_pair_trace
 
         trace = zipf_pair_trace(n_nodes=12, n_requests=200, seed=5)
-        result = execute_run_spec(_spec(), trace=trace)
+        result = execute_experiment_spec(_spec(), trace=trace)
         assert result.n_requests == 200
 
     def test_alternative_topology(self):
         spec = _spec(topology="leaf-spine", seed=0)
-        result = execute_run_spec(spec)
+        result = execute_experiment_spec(spec)
         assert result.topology.startswith("leaf-spine")
 
     def test_with_seed_copy(self):
@@ -79,10 +78,35 @@ class TestExperimentRunner:
 
     def test_compare_requires_same_workload(self):
         runner = ExperimentRunner()
-        other = RunSpec(algorithm="rbma", workload="uniform", b=2,
-                        workload_kwargs=SMALL_WORKLOAD, checkpoints=5)
+        other = ExperimentSpec(
+            algorithm={"name": "rbma", "b": 2},
+            traffic={"name": "uniform", "params": SMALL_WORKLOAD},
+            simulation={"checkpoints": 5},
+        )
         with pytest.raises(ConfigurationError):
             runner.compare_on_shared_trace([_spec(), other])
+
+    def test_compare_rejects_colliding_labels_before_running(self, monkeypatch):
+        # Three rbma specs at b=2 all key "rbma (b: 2)"; the dict used to
+        # keep only the last of them.
+        def no_run(*args, **kwargs):
+            raise AssertionError("nothing may run before the labels are checked")
+
+        monkeypatch.setattr(ExperimentRunner, "run_many", no_run)
+        specs = [
+            _spec(params={"paging_policy": "marking"}),
+            _spec(params={"paging_policy": "lru"}),
+            _spec(alpha=8.0),
+        ]
+        with pytest.raises(ConfigurationError, match=r"'rbma \(b: 2\)' would key 3 specs"):
+            ExperimentRunner().compare_on_shared_trace(specs)
+
+    def test_compare_label_collision_sees_through_aliases(self):
+        # "sobma" is an alias of "so-bma": both results are labelled "so-bma (b: 2)".
+        with pytest.raises(ConfigurationError, match="so-bma"):
+            ExperimentRunner().compare_on_shared_trace(
+                [_spec(algorithm="so-bma"), _spec(algorithm="sobma")]
+            )
 
     def test_repetition_validation(self):
         with pytest.raises(ConfigurationError):
@@ -104,18 +128,24 @@ class TestSweep:
             run_sweep(sweep, workload="zipf", repetitions=0)
 
 
-class TestParallel:
+class TestRunSpecs:
     def test_empty(self):
-        assert run_specs_parallel([]) == []
+        assert run_specs([]) == []
 
     def test_single_worker_inline(self):
-        results = run_specs_parallel([_spec(seed=0)], n_workers=1)
+        results = run_specs([_spec(seed=0)], n_workers=1)
         assert len(results) == 1
+        assert results[0].extra["scheduler_backend"] == "serial"
+
+    def test_worker_count_defaults_to_one(self, monkeypatch):
+        monkeypatch.delenv("REPRO_WORKERS", raising=False)
+        [result] = run_specs([_spec(seed=0)])
+        assert result.extra["scheduler_backend"] == "serial"
 
     def test_multi_worker_matches_sequential(self):
         specs = [_spec(algorithm="oblivious", seed=1), _spec(algorithm="rbma", seed=1)]
-        sequential = [execute_run_spec(s) for s in specs]
-        parallel = run_specs_parallel(specs, n_workers=2)
+        sequential = [execute_experiment_spec(s) for s in specs]
+        parallel = run_specs(specs, n_workers=2)
         assert [r.algorithm for r in parallel] == [r.algorithm for r in sequential]
         for p, s in zip(parallel, sequential):
             assert p.total_routing_cost == pytest.approx(s.total_routing_cost)
@@ -124,4 +154,4 @@ class TestParallel:
         from repro.errors import SimulationError
 
         with pytest.raises(SimulationError):
-            run_specs_parallel([_spec()], n_workers=0)
+            run_specs([_spec()], n_workers=0)

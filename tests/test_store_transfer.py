@@ -18,8 +18,8 @@ import pytest
 
 from repro.cli import main
 from repro.errors import ConfigurationError, SimulationError
+from repro.exec import run_specs
 from repro.experiments import ExperimentSpec
-from repro.simulation.parallel import run_specs_parallel
 from repro.store import RunStore, export_store, fingerprint_spec, import_store
 from repro.store.run_store import _atomic_write_json, entry_checksum
 from repro.store.transfer import MANIFEST_NAME
@@ -43,7 +43,7 @@ def _specs(n=2):
 
 def _populated_store(tmp_path, name="src", n=2):
     store = RunStore(tmp_path / name)
-    run_specs_parallel(_specs(n), n_workers=1, store=store)
+    run_specs(_specs(n), n_workers=1, store=store)
     return store
 
 
@@ -120,7 +120,7 @@ class TestImport:
         export_store(source, tarball)
         # The target holds one of the fingerprints with a *different* result.
         target = RunStore(tmp_path / "dst")
-        run_specs_parallel(_specs(1), n_workers=1, store=target)
+        run_specs(_specs(1), n_workers=1, store=target)
         conflicted = fingerprint_spec(_specs(1)[0])
         payload = target.get_payload(conflicted)
         payload["result"]["total_routing_cost"] = -1.0
